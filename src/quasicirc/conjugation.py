@@ -20,13 +20,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (
     BlockDiagonalInput,
     DimensionMismatch,
-    EmptyPool,
     NoResonantConjugacy,
     SingularLinearMap,
     SingularLinearPart,
     WeightMismatch,
 )
-from .linalg import LinearMap, as_fraction, solve_exact
+from .linalg import LinearMap, solve_exact
 from .poly import Polynomial, PolyMap
 from .resonant import (
     DEFAULT_POOL,
@@ -34,6 +33,7 @@ from .resonant import (
     invert_sigma,
     make_sigma,
     nonlinear_resonant_monomials,
+    pool_choices,
     random_sigma,
 )
 from .weights import BlockPartition, WeightVector, block_partition, resonance_profile
@@ -178,45 +178,47 @@ def quasi_resonance_estimate(
     return QuasiResonanceEstimate(observed_max=observed, cap=mu * mu, trials=trials)
 
 
-def random_linear_map(
-    n: int, seed: int, pool: Sequence = DEFAULT_POOL, _attempts: int = 200
-) -> LinearMap:
-    """A random invertible n-by-n matrix with entries from the pool.
+#: whole-matrix draws a sampler makes before it gives up on the pool
+MATRIX_DRAWS = 200
 
-    Deterministic in (n, seed, pool); resamples whole matrices until the
-    determinant is nonzero.
-    """
-    choices = tuple(sorted({as_fraction(x) for x in pool}))
-    if not choices:
-        raise EmptyPool("coefficient pool must be nonempty")
-    rng = random.Random(seed)
-    for _ in range(_attempts):
+
+def _draw_invertible(rng: random.Random, size: int, choices: tuple) -> LinearMap:
+    """Resample size-by-size matrices from the choices until one is invertible."""
+    for _ in range(MATRIX_DRAWS):
         candidate = LinearMap(
-            tuple(tuple(rng.choice(choices) for _ in range(n)) for _ in range(n))
+            tuple(tuple(rng.choice(choices) for _ in range(size)) for _ in range(size))
         )
         if candidate.determinant() != 0:
             return candidate
-    raise RuntimeError(f"no invertible matrix found in {_attempts} draws from {choices}")
+    raise SingularLinearMap(
+        f"no invertible {size}x{size} matrix in {MATRIX_DRAWS} draws from the pool"
+    )
+
+
+def random_linear_map(n: int, seed: int, pool: Sequence = DEFAULT_POOL) -> LinearMap:
+    """A random invertible n-by-n matrix with entries from the pool.
+
+    Deterministic in (n, seed, pool); resamples whole matrices until the
+    determinant is nonzero, and raises SingularLinearMap after MATRIX_DRAWS
+    singular draws.
+    """
+    return _draw_invertible(random.Random(seed), n, pool_choices(pool))
 
 
 def random_block_diagonal_map(
     weights: WeightVector, seed: int, pool: Sequence = DEFAULT_POOL
 ) -> LinearMap:
-    """A random invertible block-diagonal matrix for the weight partition."""
-    choices = tuple(sorted({as_fraction(x) for x in pool}))
-    if not choices:
-        raise EmptyPool("coefficient pool must be nonempty")
+    """A random invertible block-diagonal matrix for the weight partition.
+
+    Each diagonal block is drawn as random_linear_map draws a whole matrix.
+    """
+    choices = pool_choices(pool)
     rng = random.Random(seed)
     n = weights.n
     rows = [[Fraction(0)] * n for _ in range(n)]
     for start, end in block_partition(weights).blocks():
         size = end - start + 1
-        while True:
-            block = LinearMap(
-                tuple(tuple(rng.choice(choices) for _ in range(size)) for _ in range(size))
-            )
-            if block.determinant() != 0:
-                break
+        block = _draw_invertible(rng, size, choices)
         for bi in range(size):
             for bj in range(size):
                 rows[start - 1 + bi][start - 1 + bj] = block.rows[bi][bj]
@@ -281,13 +283,13 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
 
     rows: List[List[Fraction]] = []
     rhs: List[Fraction] = []
+    absent = Fraction(0)
     for i in range(n):
-        support = set(bases[i].terms)
-        for col in columns[i]:
-            support.update(col.terms)
-        for beta in sorted(support):
-            rows.append([col.coefficient(beta) for col in columns[i]])
-            rhs.append(-bases[i].coefficient(beta))
+        base = bases[i].terms
+        col_terms = [col.terms for col in columns[i]]
+        for beta in sorted(set(base).union(*col_terms)):
+            rows.append([terms.get(beta, absent) for terms in col_terms])
+            rhs.append(-base.get(beta, absent))
 
     solved = solve_exact(rows, rhs, len(unknowns))
     if solved is None:

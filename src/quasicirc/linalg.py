@@ -1,13 +1,15 @@
 """Exact rational linear algebra: square matrices and linear-system solving.
 
-Everything here works over `fractions.Fraction`; there are no tolerances
-anywhere, and singularity/inconsistency detection is exact.
+Everything here takes and returns `fractions.Fraction`s (`solve_exact`
+eliminates on integers inside); there are no tolerances anywhere, and
+singularity/inconsistency detection is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import SingularLinearMap
@@ -111,32 +113,77 @@ def solve_exact(
     """Solve A x = b exactly over the rationals (A has n_cols columns).
 
     Returns (solution, free_count) with every free variable set to zero, or
-    None when the system is inconsistent.  Reduction is plain exact
-    Gauss-Jordan; with Fraction arithmetic there is no pivot-size concern.
+    None when the system is inconsistent.
+
+    The elimination is fraction-free and runs on Python ints.  Each row
+    [A | b] is scaled to a primitive integer vector (content 1, first nonzero
+    entry positive), so all-zero rows and exact duplicates, scaled copies
+    included, are dropped; a row that is zero on the A side with nonzero b
+    means the system is inconsistent.  Pivots are taken in column order.
+    Clearing a column from a row takes an integer combination of it and the
+    pivot row and divides by its content again, which keeps entries small
+    where Bareiss (Math. Comp. 22, 1968) divides by the previous pivot.  The
+    pivot column is cleared from every other row, earlier pivot rows
+    included, so the result is the reduced row echelon form; that form is
+    unique, so the solution and free_count do not depend on which row
+    serves as a pivot.
     """
-    n_rows = len(rows)
-    aug = [list(row) + [rhs[k]] for k, row in enumerate(rows)]
-    pivot_cols = []
-    r = 0
+    pending = _distinct(_primitive(_integral([*row, b])) for row, b in zip(rows, rhs))
+    if pending is None:
+        return None
+    pivots = {}  # pivot column -> its row
     for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot = next((k for k in range(r, n_rows) if aug[k][c] != 0), None)
-        if pivot is None:
+        candidates = [row for row in pending if row[c]]
+        if not candidates:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for k in range(n_rows):
-            if k != r and aug[k][c] != 0:
-                factor = aug[k][c]
-                aug[k] = [a - factor * b for a, b in zip(aug[k], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    for k in range(r, n_rows):
-        if aug[k][n_cols] != 0:
+        pivot = min(candidates, key=lambda row: abs(row[c]))
+        pivots = {col: _eliminate(row, pivot, c) for col, row in pivots.items()}
+        pending = _distinct(_eliminate(row, pivot, c) for row in pending if row is not pivot)
+        if pending is None:
             return None
+        pivots[c] = pivot
     solution = [Fraction(0)] * n_cols
-    for row_idx, col in enumerate(pivot_cols):
-        solution[col] = aug[row_idx][n_cols]
-    return solution, n_cols - len(pivot_cols)
+    for c, row in pivots.items():
+        solution[c] = Fraction(row[n_cols], row[c])
+    return solution, n_cols - len(pivots)
+
+
+def _eliminate(row: tuple, pivot: tuple, c: int) -> Optional[tuple]:
+    """row with column c cleared by the pivot row, primitive; None if it vanishes."""
+    if not row[c]:
+        return row
+    g = gcd(pivot[c], row[c])
+    p, q = pivot[c] // g, row[c] // g
+    return _primitive([p * x - q * y for x, y in zip(row, pivot)])
+
+
+def _primitive(vec) -> Optional[tuple]:
+    """vec over its content, first nonzero entry positive; None if all zero."""
+    g = gcd(*vec)
+    if not g:
+        return None
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
+
+
+def _integral(vec: list) -> list:
+    """An exact rational vector scaled by the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec]
+
+
+def _distinct(rows) -> Optional[list]:
+    """The distinct rows, skipping None (a zero row), in first-seen order.
+
+    Returns None instead when a row is zero on the A side and nonzero in
+    its last (b) entry, which makes the system inconsistent.
+    """
+    out = {}
+    for row in rows:
+        if row is None:
+            continue
+        if not any(row[:-1]):
+            return None
+        out[row] = None
+    return list(out)

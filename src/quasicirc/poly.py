@@ -9,6 +9,12 @@ Zero coefficients are never stored, so structural equality of the term maps
 is mathematical equality.  All arithmetic is exact; floats are rejected at
 the boundary.
 
+Products (`*` and the accumulation inside `substitute`) run on the integer
+kernel in `intpoly`: coefficients over one common denominator, exponent
+tuples packed into single ints, one Fraction made per output term, and a
+direct path for a factor with one term.  `terms`, `coefficient()` and every
+public result still hold Fractions.
+
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, whitespace-insensitive, with exact rational literals
 `p/q`.
@@ -22,6 +28,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, DoesNotFixOrigin, IndexOutOfRange, ParseError
+from .intpoly import product, sum_of_products
 from .linalg import LinearMap, as_fraction
 from .weights import MultiIndex, WeightVector, weighted_degree
 
@@ -127,16 +134,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out: Dict[MultiIndex, Fraction] = {}
-        for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                acc = out.get(key, Fraction(0)) + ca * cb
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return Polynomial._from_clean(self.n, out)
+        return Polynomial._from_clean(self.n, product(self.n, self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -234,6 +232,8 @@ class Polynomial:
         `values[j-1]` replaces z_j; all substituted polynomials must share a
         dimension, which becomes the dimension of the result.  An optional
         power cache is shared across the components of a map composition.
+        Powers are built in a loop, so any exponent works without recursion,
+        and the terms' products are summed in one integer accumulation.
         """
         if len(values) != self.n:
             raise DimensionMismatch(
@@ -246,27 +246,42 @@ class Polynomial:
 
         def power(j: int, e: int) -> Polynomial:
             key = (j, e)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            result = values[j] if e == 1 else power(j, e - 1) * values[j]
+            if key in cache:
+                return cache[key]
+            value = values[j]
+            if len(value._terms) < 2:
+                # zero, or one term whose power is one term: no steps at all
+                result = Polynomial._from_clean(
+                    target,
+                    {tuple(a * e for a in alpha): c**e for alpha, c in value._terms.items()},
+                )
+            else:
+                # stepped up from the highest cached power, caching every
+                # step: substitutions use most powers up to the largest
+                # exponent, and a step multiplies by the first power instead
+                # of squaring big ones
+                top = e
+                while top > 1 and (j, top) not in cache:
+                    top -= 1
+                result = cache[(j, top)] if top > 1 else value
+                for k in range(top + 1, e + 1):
+                    result = result * value
+                    cache[(j, k)] = result
             cache[key] = result
             return result
 
-        out: Dict[MultiIndex, Fraction] = {}
-        one = Polynomial.constant(target, 1)
+        one = {(0,) * target: Fraction(1)}
+        products = []
         for alpha, coeff in self._terms.items():
-            piece = one
-            for j, e in enumerate(alpha):
-                if e:
-                    piece = piece * power(j, e)
-            for beta, c in piece._terms.items():
-                acc = out.get(beta, Fraction(0)) + coeff * c
-                if acc:
-                    out[beta] = acc
-                else:
-                    del out[beta]
-        return Polynomial._from_clean(target, out)
+            factors = [power(j, e)._terms for j, e in enumerate(alpha) if e] or [one]
+            head = one if len(factors) == 1 else factors[0]
+            for factor in factors[1:-1]:
+                head = product(target, head, factor)
+            if head and factors[-1]:
+                products.append((coeff, head, factors[-1]))
+        if not products:
+            return Polynomial.zero(target)
+        return Polynomial._from_clean(target, sum_of_products(target, products))
 
     def __str__(self) -> str:
         return format_polynomial(self)

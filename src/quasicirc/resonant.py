@@ -43,6 +43,18 @@ DEFAULT_POOL = (
 )
 
 
+def pool_choices(pool: Sequence) -> tuple:
+    """The pool as exact rationals, deduplicated and sorted; rejects an empty pool.
+
+    Every sampler draws from this tuple, so a pool given as a set or with
+    repeats samples the same as its sorted distinct values.
+    """
+    choices = tuple(sorted({as_fraction(x) for x in pool}))
+    if not choices:
+        raise EmptyPool("coefficient pool must be nonempty")
+    return choices
+
+
 def nonlinear_resonant_monomials(weights: WeightVector, i: int) -> Tuple[MultiIndex, ...]:
     """Exponents alpha in the i-th resonance set with |alpha| >= 2, lex order."""
     return tuple(alpha for alpha in resonance_set(weights, i) if sum(alpha) >= 2)
@@ -179,9 +191,7 @@ def random_sigma(
     pool; the pool is deduplicated and sorted first, so passing a set is
     safe.  The same (weights, seed, pool) always yields the same map.
     """
-    choices = tuple(sorted({as_fraction(x) for x in pool}))
-    if not choices:
-        raise EmptyPool("coefficient pool must be nonempty")
+    choices = pool_choices(pool)
     rng = random.Random(seed)
     coeffs = {}
     for i in range(1, weights.n + 1):

@@ -129,3 +129,27 @@ def random_poly_map(
             for _ in range(n)
         )
     )
+
+
+def schoolbook_product(p: Polynomial, q: Polynomial) -> dict:
+    """Term map of p * q by the plain double loop over Fraction coefficients."""
+    out = {}
+    for a, ca in p.terms.items():
+        for b, cb in q.terms.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def schoolbook_substitute(p: Polynomial, values) -> dict:
+    """Term map of p(values), expanding every term by repeated schoolbook_product."""
+    n = values[0].n
+    out = {}
+    for alpha, coeff in p.terms.items():
+        piece = Polynomial(n, {(0,) * n: coeff})
+        for value, e in zip(values, alpha):
+            for _ in range(e):
+                piece = Polynomial(n, schoolbook_product(piece, value))
+        for beta, c in piece.terms.items():
+            out[beta] = out.get(beta, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}

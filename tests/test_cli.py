@@ -170,6 +170,16 @@ def test_sigma_invert_is_an_involution(capsys, tmp_path):
     assert back == first
 
 
+def test_sigma_invert_high_exponent(capsys, tmp_path):
+    # a valid map whose exponent is above the default recursion limit
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"weights": [1, 1500], "g": {"2": {"1500,0": "1"}}}))
+    code, out, err = run_cli(capsys, "sigma", "invert", "--map", str(path))
+    assert code == 0
+    assert json.loads(out)["g"] == {"2": {"1500,0": "-1"}}
+    assert err == ""
+
+
 def test_custom_pool_flag(capsys):
     code, out, _ = run_cli(
         capsys, "sigma", "random", "--weights", "1,2", "--seed", "1", "--pool=1"

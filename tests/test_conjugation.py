@@ -259,6 +259,29 @@ def test_random_block_diagonal_sampler():
     assert linear == random_block_diagonal_map(w, 11)
 
 
+def test_sampler_draw_sequences_are_pinned():
+    # fixed outputs: the shared pool handling and bounded retries must leave
+    # the random draw sequence of a valid pool unchanged
+    assert random_linear_map(3, 11).to_string_rows() == [
+        ["1/2", "1", "1/2"], ["1/2", "1", "1"], ["-1", "-1", "1"],
+    ]
+    w = WeightVector((1, 2, 2, 3))
+    assert random_block_diagonal_map(w, 11).to_string_rows() == [
+        ["1/2", "0", "0", "0"], ["0", "1", "1/2", "0"], ["0", "1/2", "1", "0"], ["0", "0", "0", "1"],
+    ]
+    # with zero in the pool the 2x2 block is resampled after singular draws
+    assert random_block_diagonal_map(w, 4, pool=(0, 1)).to_string_rows() == [
+        ["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1"],
+    ]
+
+
+def test_samplers_give_up_on_a_singular_pool():
+    with pytest.raises(SingularLinearMap):
+        random_linear_map(2, 5, pool=[0])
+    with pytest.raises(SingularLinearMap):
+        random_block_diagonal_map(WeightVector((1, 2, 2)), 5, pool=[0])
+
+
 # conjugacy solver
 
 

@@ -1,0 +1,116 @@
+"""solve_exact against sympy's exact RREF and an exact check that A x = b.
+
+sympy is only a test-time reference; the library itself stays stdlib-only.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quasicirc import solve_exact
+
+
+def rref_reference(rows, rhs, n_cols):
+    """(solution with free variables zero, free count) from sympy, or None."""
+    sympy = pytest.importorskip("sympy")
+    if not rows:
+        return [Fraction(0)] * n_cols, n_cols
+    augmented = sympy.Matrix(
+        [[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator) for x in [*row, b]]
+         for row, b in zip(rows, rhs)]
+    )
+    reduced, pivots = augmented.rref()
+    if n_cols in pivots:
+        return None
+    solution = [Fraction(0)] * n_cols
+    for i, col in enumerate(pivots):
+        value = reduced[i, n_cols]
+        solution[col] = Fraction(int(value.p), int(value.q))
+    return solution, n_cols - len(pivots)
+
+
+def check_against_reference(rows, rhs, n_cols):
+    result = solve_exact(rows, rhs, n_cols)
+    assert result == rref_reference(rows, rhs, n_cols)
+    if result is not None:
+        solution, _ = result
+        assert all(type(x) is Fraction for x in solution)
+        for row, b in zip(rows, rhs):
+            assert sum(a * x for a, x in zip(row, solution)) == b
+    return result
+
+
+def F(*values):
+    return [Fraction(v) for v in values]
+
+
+def test_unique_solution():
+    result = check_against_reference([F(2, 1), F(1, -3)], F(3, "1/2"), 2)
+    assert result == (F("19/14", "2/7"), 0)
+
+
+def test_inconsistent_system():
+    assert check_against_reference([F(1, 1), F(2, 2)], F(1, 3), 2) is None
+
+
+def test_zero_row_with_nonzero_rhs_is_inconsistent():
+    assert check_against_reference([F(1, 0), F(0, 0)], F(1, 1), 2) is None
+
+
+def test_all_zero_system():
+    assert check_against_reference([F(0, 0, 0)] * 3, F(0, 0, 0), 3) == (F(0, 0, 0), 3)
+
+
+def test_no_rows():
+    assert solve_exact([], [], 3) == (F(0, 0, 0), 3)
+
+
+def test_duplicated_and_scaled_rows():
+    rows = [F(1, 2), F(1, 2), F("1/2", 1), F(-1, -2), F(3, 6)]
+    rhs = F(3, 3, "3/2", -3, 9)
+    assert check_against_reference(rows, rhs, 2) == (F(3, 0), 1)
+
+
+def test_rank_deficient_with_free_columns():
+    rows = [F(0, 1, 2, 0, 1), F(0, 2, 4, 1, 3), F(0, 1, 2, 1, 2), F("1/3", 0, 0, 0, 0)]
+    rhs = F(1, 3, 2, "2/3")
+    result = check_against_reference(rows, rhs, 5)
+    assert result[1] == 2
+
+
+def test_large_entries():
+    rows = [F(10**30 + 1, 3, "7/11"), F(2, 10**25, 5), F("1/99991", 4, 10**20)]
+    check_against_reference(rows, F(1, 2, 3), 3)
+
+
+entries = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+@st.composite
+def systems(draw):
+    """Rows built from a few base rows (rank deficiency, exact and scaled
+    duplicates, zero rows) with a consistent or an arbitrary right side."""
+    n_cols = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        i, j = draw(st.integers(0, len(base) - 1)), draw(st.integers(0, len(base) - 1))
+        a, b = draw(entries), draw(entries)
+        rows.append([a * x + b * y for x, y in zip(base[i], base[j])])
+        if rows and draw(st.booleans()):
+            rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        point = draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+        rhs = [sum(a * x for a, x in zip(row, point)) for row in rows]
+    else:
+        rhs = [draw(entries) for _ in rows]
+    return rows, rhs, n_cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_matches_sympy_rref(system):
+    check_against_reference(*system)

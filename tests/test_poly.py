@@ -1,5 +1,8 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,12 @@ from quasicirc import (
     parse_poly_map,
     parse_polynomial,
 )
-from oracles import random_poly_map, substitution_homogeneity
+from oracles import (
+    random_poly_map,
+    schoolbook_product,
+    schoolbook_substitute,
+    substitution_homogeneity,
+)
 
 
 def var(n, j):
@@ -105,6 +113,125 @@ def test_negation_and_subtraction(p):
     assert -(-p) == p
 
 
+# the integer product kernel against the schoolbook Fraction product
+
+# exponents up to 2**20 make the kernel pack keys at every field width
+wide_exponents = st.one_of(st.integers(0, 3), st.integers(0, 2**20))
+mixed_coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+# few small exponents and unit-like coefficients make terms cancel often
+cancelling_coefficients = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
+)
+
+
+def sparse_polynomials(n, exponents, coeffs=mixed_coefficients, max_terms=6):
+    return st.dictionaries(
+        st.tuples(*([exponents] * n)), coeffs, max_size=max_terms
+    ).map(lambda terms: Polynomial(n, terms))
+
+
+def assert_exact_terms(p, expected):
+    assert dict(p.terms) == expected
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            sparse_polynomials(n, wide_exponents), sparse_polynomials(n, wide_exponents)
+        )
+    )
+)
+def test_product_matches_schoolbook(pair):
+    p, q = pair
+    assert_exact_terms(p * q, schoolbook_product(p, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            sparse_polynomials(n, st.integers(0, 2), cancelling_coefficients),
+            sparse_polynomials(n, st.integers(0, 2), cancelling_coefficients),
+        )
+    )
+)
+def test_product_with_cancellation_matches_schoolbook(pair):
+    p, q = pair
+    assert_exact_terms(p * q, schoolbook_product(p, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            sparse_polynomials(n, wide_exponents, max_terms=1),
+            sparse_polynomials(n, wide_exponents),
+            mixed_coefficients,
+        )
+    )
+)
+def test_one_term_factor_matches_schoolbook(case):
+    monomial, p, scalar = case
+    assert_exact_terms(monomial * p, schoolbook_product(monomial, p))
+    assert_exact_terms(p * monomial, schoolbook_product(p, monomial))
+    constant = Polynomial.constant(p.n, scalar)
+    assert_exact_terms(scalar * p, schoolbook_product(constant, p))
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_product_fills_every_packing_width(k):
+    # total degrees 2**k and 2**k - 1 sum to 2**(k+1) - 1: every bit of the
+    # widest field is set in z1^D and z2^D, next to the other variable's field
+    z1, z2, z3 = var(3, 1), var(3, 2), var(3, 3)
+    p = z1 ** (2**k) + Fraction(1, 2) * z2 ** (2**k) - Fraction(2, 3) * z3
+    q = z1 ** (2**k - 1) - Fraction(1, 2) * z2 ** (2**k - 1) + 3 * z1 * z3
+    assert_exact_terms(p * q, schoolbook_product(p, q))
+    assert (p * q).coefficient((2 ** (k + 1) - 1, 0, 0)) == 1
+    assert (p * q).coefficient((0, 2 ** (k + 1) - 1, 0)) == Fraction(-1, 4)
+
+
+def test_product_cancelling_to_zero_terms():
+    z1, z2 = var(2, 1), var(2, 2)
+    a, b = z1 ** (2**20), Fraction(1, 3) * z2**5
+    assert (a + b) * (a - b) == a * a - b * b
+    assert ((a + b) * (a - b)).coefficient((2**20, 5)) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            sparse_polynomials(n, st.integers(0, 3), max_terms=4),
+            st.lists(
+                sparse_polynomials(n, wide_exponents, max_terms=3), min_size=n, max_size=n
+            ),
+        )
+    )
+)
+def test_substitute_matches_schoolbook(case):
+    p, values = case
+    assert_exact_terms(p.substitute(values), schoolbook_substitute(p, values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(sparse_polynomials(n, st.integers(0, 3), max_terms=4), min_size=n, max_size=n),
+            st.lists(sparse_polynomials(n, st.integers(0, 2), cancelling_coefficients, max_terms=3),
+                     min_size=n, max_size=n),
+        )
+    )
+)
+def test_compose_shared_power_cache_matches_schoolbook(case):
+    outer, inner = (PolyMap(components) for components in case)
+    composed = outer.compose(inner)
+    for p, result in zip(outer.components, composed.components):
+        assert_exact_terms(result, schoolbook_substitute(p, inner.components))
+
+
 # composition
 
 
@@ -133,6 +260,22 @@ def test_compose_associative():
         assert f.compose(g).compose(h) == f.compose(g.compose(h))
     f, g, h = (random_poly_map(rng, 3, max_degree=3, max_terms=2) for _ in range(3))
     assert f.compose(g).compose(h) == f.compose(g.compose(h))
+
+
+def test_compose_high_exponent():
+    f = parse_poly_map("z1^3000\nz2")
+    assert f.compose(f) == parse_poly_map("z1^9000000\nz2")
+
+
+def test_substitute_builds_powers_without_recursion():
+    # 300 steps of (z1 + 1)^k under a stack budget far below 300 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        result = parse_polynomial("z1^300", 1).substitute([var(1, 1) + 1])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.terms == {(k,): Fraction(comb(300, k)) for k in range(301)}
 
 
 def test_compose_dimension_mismatch():
