@@ -23,18 +23,15 @@ from .conjugation import (
 from .errors import ParseError, QuasicircError, WeightMismatch
 from .linalg import LinearMap
 from .poly import format_poly_map, parse_poly_map
-from .resonant import TriangularResonantMap, invert_sigma, random_sigma
+from .resonant import DEFAULT_POOL, TriangularResonantMap, invert_sigma, random_sigma
 from .weights import WeightVector, block_partition, resonance_profile, resonance_set
 
 
 def _weights_arg(text: str):
     try:
-        entries = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not entries:
-        raise argparse.ArgumentTypeError("weights must be nonempty")
-    return entries
 
 
 def _pool_arg(text: str):
@@ -79,11 +76,11 @@ def _load_sigma(path: str, expected: WeightVector = None) -> TriangularResonantM
 
 def _load_linear(path: str) -> LinearMap:
     data = _read_json(path)
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ParseError(f"{path}: expected a row-major array of rows")
     try:
         return LinearMap.from_string_rows(data)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -117,12 +114,7 @@ def cmd_partition(args) -> dict:
 
 def cmd_sigma_random(args) -> dict:
     weights = WeightVector(args.weights)
-    sigma = (
-        random_sigma(weights, args.seed)
-        if args.pool is None
-        else random_sigma(weights, args.seed, args.pool)
-    )
-    return sigma.to_json_dict()
+    return random_sigma(weights, args.seed, args.pool).to_json_dict()
 
 
 def cmd_sigma_invert(args) -> dict:
@@ -220,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sigma_sub.add_parser("random", help="sample a random map")
     add_weights(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pool", type=_pool_arg, default=None,
+    p.add_argument("--pool", type=_pool_arg, default=DEFAULT_POOL,
                    help="comma-separated rational coefficients (use --pool=-2,-1,1,2)")
     p.set_defaults(handler=cmd_sigma_random)
 
@@ -267,10 +259,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         payload = args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuasicircError as exc:

@@ -265,28 +265,26 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         for alpha in nonlinear_resonant_monomials(weights, i)
     ]
     j_poly = PolyMap.from_linear(j_matrix)
-    # affine expression per component: base_i + sum_k column[i][k] * c_k == 0
-    bases = [
-        f.components[i - 1] - j_poly.components[i - 1] for i in range(1, n + 1)
+    power_cache: Dict = {}
+    f_powers = [
+        Polynomial.monomial(n, alpha).substitute(f.components, _cache=power_cache)
+        for _, alpha in unknowns
     ]
     zero = Polynomial.zero(n)
-    columns = [[zero] * len(unknowns) for _ in range(n)]
-    power_cache: Dict = {}
-    for k, (comp, alpha) in enumerate(unknowns):
-        monomial = Polynomial.monomial(n, alpha)
-        f_alpha = monomial.substitute(f.components, _cache=power_cache)
-        columns[comp - 1][k] = columns[comp - 1][k] + f_alpha
-        for i in range(1, n + 1):
-            entry = j_matrix.rows[i - 1][comp - 1]
-            if entry:
-                columns[i - 1][k] = columns[i - 1][k] - entry * monomial
-
     rows: List[List[Fraction]] = []
     rhs: List[Fraction] = []
     absent = Fraction(0)
-    for i in range(n):
-        base = bases[i].terms
-        col_terms = [col.terms for col in columns[i]]
+    # affine expression per component: base_i + sum_k column_k * c_k == 0, where
+    # column_k is f^alpha_k (in component comp_k only) minus J[i][comp_k] z^alpha_k
+    for i in range(1, n + 1):
+        j_row = j_matrix.rows[i - 1]
+        col_terms = []
+        for (comp, alpha), f_alpha in zip(unknowns, f_powers):
+            column = f_alpha if comp == i else zero
+            if j_row[comp - 1]:
+                column = column + Polynomial.monomial(n, alpha, -j_row[comp - 1])
+            col_terms.append(column.terms)
+        base = (f.components[i - 1] - j_poly.components[i - 1]).terms
         for beta in sorted(set(base).union(*col_terms)):
             rows.append([terms.get(beta, absent) for terms in col_terms])
             rhs.append(-base.get(beta, absent))

@@ -1,8 +1,15 @@
 """Exact rational linear algebra: square matrices and linear-system solving.
 
-Everything here takes and returns `fractions.Fraction`s (`solve_exact`
-eliminates on integers inside); there are no tolerances anywhere, and
-singularity/inconsistency detection is exact.
+Everything here takes and returns `fractions.Fraction`s; there are no
+tolerances anywhere, and singularity/inconsistency detection is exact.
+
+`solve_exact` is the one linear solver: it eliminates on integers inside,
+and `LinearMap.inverse` solves for its columns with it.
+`LinearMap.determinant` is the only elimination left on Fractions.  It is
+the invertibility test before every conjugation and every sampled matrix,
+on matrices of size 1 to about 4, where one forward pass over Fractions is
+as short as an integer (Bareiss) version, which would first have to clear
+denominators.
 """
 
 from __future__ import annotations
@@ -79,24 +86,20 @@ class LinearMap:
                     a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
         return det
 
-    def is_invertible(self) -> bool:
-        return self.determinant() != 0
-
     def inverse(self) -> "LinearMap":
+        """The inverse matrix; column j solves A x = e_j with `solve_exact`.
+
+        Raises SingularLinearMap when a solve is inconsistent or leaves a
+        free variable, which happens exactly when the matrix is singular.
+        """
         n = self.n
-        a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
+        columns = []
+        for j in range(n):
+            solved = solve_exact(self.rows, [Fraction(int(i == j)) for i in range(n)], n)
+            if solved is None or solved[1]:
                 raise SingularLinearMap("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    factor = a[r][col]
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-        return LinearMap(tuple(tuple(row[n:]) for row in a))
+            columns.append(solved[0])
+        return LinearMap(tuple(zip(*columns)))
 
     def to_string_rows(self) -> list:
         """Rows as 'p/q' strings, the wire format used by the CLI."""
@@ -104,7 +107,7 @@ class LinearMap:
 
     @classmethod
     def from_string_rows(cls, rows: Iterable[Iterable]) -> "LinearMap":
-        return cls(tuple(tuple(as_fraction(x) for x in row) for row in rows))
+        return cls(rows)
 
 
 def solve_exact(

@@ -10,6 +10,7 @@ again of the same shape and can be built one component at a time.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,14 +145,14 @@ class TriangularResonantMap:
         try:
             raw_weights = data["weights"]
             raw_g = data.get("g", {})
-            entries = tuple(int(w) for w in raw_weights)
+            entries = tuple(operator.index(w) for w in raw_weights)
             coeffs = {}
             for key, part in raw_g.items():
                 i = int(key)
                 for alpha_text, coeff_text in part.items():
                     alpha = tuple(int(a) for a in alpha_text.split(","))
-                    coeffs[(i, alpha)] = coeff_text
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                    coeffs[(i, alpha)] = as_fraction(coeff_text)
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed triangular map object: {exc}") from exc
         return make_sigma(WeightVector(entries), coeffs)
 

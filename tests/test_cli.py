@@ -156,6 +156,32 @@ def test_malformed_files_exit_two(capsys):
     assert code == 2 and not out and err
 
 
+MALFORMED_VALUE_CASES = [
+    ("sigma_zero_denominator", "sigma", {"weights": [1, 2], "g": {"2": {"2,0": "1/0"}}}),
+    ("sigma_float_coefficient", "sigma", {"weights": [1, 2], "g": {"2": {"2,0": 1.5}}}),
+    ("sigma_null_coefficient", "sigma", {"weights": [1, 2], "g": {"2": {"2,0": None}}}),
+    ("sigma_float_weight", "sigma", {"weights": [1.5, 2], "g": {}}),
+    ("linear_zero_denominator", "linear", [["1/0"]]),
+    ("linear_string_rows", "linear", ["12", "34"]),
+]
+
+
+@pytest.mark.parametrize("kind,content", [case[1:] for case in MALFORMED_VALUE_CASES],
+                         ids=[case[0] for case in MALFORMED_VALUE_CASES])
+def test_malformed_values_exit_two(capsys, tmp_path, kind, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    if kind == "sigma":
+        argv = ("sigma", "invert", "--map", str(path))
+    else:
+        argv = ("violate", "--weights", "1,2", "--linear", str(path),
+                "--trials", "1", "--seed", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_sigma_invert_is_an_involution(capsys, tmp_path):
     code, first, _ = run_cli(capsys, "sigma", "random", "--weights", "1,2,4", "--seed", "9")
     assert code == 0

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+import quasicirc.conjugation
 from quasicirc import (
     BlockDiagonalInput,
     DimensionMismatch,
@@ -26,6 +29,7 @@ from quasicirc import (
     random_sigma,
     resonance_profile,
     solve_conjugacy,
+    solve_exact,
 )
 from oracles import WEIGHT_SET
 
@@ -336,3 +340,20 @@ def test_solve_round_trip_reproduces_map():
             solution = solve_conjugacy(f, w)
             assert solution.residual_zero
             assert conjugate(solution.sigma, solution.linear) == f
+
+
+def test_solve_builds_a_pinned_system(monkeypatch):
+    seen = []
+
+    def recording_solve_exact(rows, rhs, n_cols):
+        seen.append((len(rows), len(rhs), n_cols))
+        return solve_exact(rows, rhs, n_cols)
+
+    monkeypatch.setattr(quasicirc.conjugation, "solve_exact", recording_solve_exact)
+    text = (Path(__file__).parent / "data" / "map_solvable.txt").read_text(encoding="utf-8")
+    assert solve_conjugacy(parse_poly_map(text), W12).residual_zero
+    w = WeightVector((1, 2, 3, 5))
+    f = conjugate(random_sigma(w, 5), random_linear_map(w.n, 6))
+    assert solve_conjugacy(f, w).residual_zero
+    # (rows, right-hand sides, unknowns) handed to the elimination per solve
+    assert seen == [(1, 1, 1), (1220, 1220, 8)]

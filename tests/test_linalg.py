@@ -1,4 +1,5 @@
-"""solve_exact against sympy's exact RREF and an exact check that A x = b.
+"""solve_exact against sympy's exact RREF and an exact check that A x = b,
+and LinearMap.inverse, which solves for its columns with it, against sympy's inv.
 
 sympy is only a test-time reference; the library itself stays stdlib-only.
 """
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasicirc import solve_exact
+from quasicirc import LinearMap, SingularLinearMap, random_linear_map, solve_exact
 
 
 def rref_reference(rows, rhs, n_cols):
@@ -114,3 +115,51 @@ def systems(draw):
 @given(systems())
 def test_matches_sympy_rref(system):
     check_against_reference(*system)
+
+
+# LinearMap.inverse
+
+
+def to_fractions(matrix):
+    return tuple(
+        tuple(Fraction(int(matrix[i, j].p), int(matrix[i, j].q)) for j in range(matrix.cols))
+        for i in range(matrix.rows)
+    )
+
+
+#: a pool with 0 in it, so that drawn matrices have zero entries
+INVERSE_POOL = (-2, -1, 0, "1/2", 1, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inverse_is_two_sided(n):
+    for seed in range(6):
+        a = random_linear_map(n, seed, INVERSE_POOL)
+        assert a.inverse() @ a == LinearMap.identity(n)
+        assert a @ a.inverse() == LinearMap.identity(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inverse_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    for seed in range(6):
+        a = random_linear_map(n, seed, INVERSE_POOL)
+        reference = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a.rows]
+        ).inv()
+        assert a.inverse().rows == to_fractions(reference)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 2, 3), (0, 0, 0), (4, 5, 6)),  # a zero row
+        ((1, 2, 3), (4, 5, 6), (5, 7, 9)),  # row 3 = row 1 + row 2
+        (("1/2", 1), (1, 2)),  # row 2 = 2 * row 1
+        ((0,),),
+    ],
+    ids=["zero_row", "sum_of_rows", "scaled_row", "zero_1x1"],
+)
+def test_inverse_of_singular_matrix_raises(rows):
+    with pytest.raises(SingularLinearMap):
+        LinearMap(rows).inverse()
