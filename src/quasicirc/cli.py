@@ -78,14 +78,13 @@ def _load_linear(path: str) -> LinearMap:
     data = _read_json(path)
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ParseError(f"{path}: expected a row-major array of rows")
+    if any(isinstance(entry, bool) for row in data for entry in row):
+        # JSON true/false decode to bools, which Fraction reads as 1 and 0
+        raise ParseError(f"{path}: expected numbers, got a boolean")
     try:
         return LinearMap.from_string_rows(data)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def _alpha_list(exponents):
-    return [list(alpha) for alpha in exponents]
 
 
 def cmd_resonance(args) -> dict:
@@ -95,13 +94,13 @@ def cmd_resonance(args) -> dict:
         return {
             "weights": list(weights.m),
             "index": args.index,
-            "set": _alpha_list(exponents),
+            "set": exponents,
             "order": max(sum(alpha) for alpha in exponents),
         }
     profile = resonance_profile(weights)
     return {
         "weights": list(weights.m),
-        "sets": {str(i): _alpha_list(profile.sets[i - 1]) for i in range(1, weights.n + 1)},
+        "sets": {str(i): profile.sets[i - 1] for i in range(1, weights.n + 1)},
         "orders": {str(i): profile.orders[i - 1] for i in range(1, weights.n + 1)},
         "mu": profile.order,
     }
@@ -176,7 +175,7 @@ def cmd_bergman(args) -> dict:
     return {
         "weights": list(weights.m),
         "admissible": [
-            [_alpha_list(pattern.at(i, j)) for j in range(1, weights.n + 1)]
+            [pattern.at(i, j) for j in range(1, weights.n + 1)]
             for i in range(1, weights.n + 1)
         ],
         "block_pattern": {

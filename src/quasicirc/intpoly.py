@@ -7,71 +7,68 @@ one common denominator, and every exponent tuple is packed into one int
 (Kronecker packing with a per-operation bound, as in Monagan & Pearce,
 "Parallel sparse polynomial multiplication using heaps", ISSAC 2009).  Each
 output coefficient becomes a Fraction once, at the end.
+
+`sum_of_products` is the one entry point, and so the one place where
+Fractions become ints and back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add, lshift
+from math import lcm, prod
+from operator import lshift
 from typing import Dict
 
 
-def product(n: int, a: Dict, b: Dict) -> Dict:
-    """Term map of a * b."""
-    if len(a) < 2 or len(b) < 2:
-        return _monomial_product(a, b)
-    return sum_of_products(n, ((1, a, b),))
-
-
-def _monomial_product(a: Dict, b: Dict) -> Dict:
-    """Term map of a * b when one factor has at most one term.
-
-    The products land on distinct exponents, so nothing merges or cancels
-    and each coefficient is one Fraction product.
-    """
-    if not a or not b:
-        return {}
-    if len(a) != 1:
-        a, b = b, a
-    ((alpha, c),) = a.items()
-    if not any(alpha):
-        return {beta: c * cb for beta, cb in b.items()}
-    return {tuple(map(add, alpha, beta)): c * cb for beta, cb in b.items()}
-
-
 def sum_of_products(n: int, products) -> Dict:
-    """Term map of sum(c * a * b) over (c, a, b), computed on Python ints.
+    """Term map of sum(c * f1 * ... * fk) over (c, [f1, ..., fk]), on Python ints.
 
-    c is a rational scalar; a and b are nonempty term maps.  All products are
-    put over one common denominator, each factor's coefficients become
-    integer numerators, and every exponent tuple is packed into one int with
-    `width` bits per variable.  `width` holds the largest total degree any
-    product reaches, so adding two packed keys never carries from one field
-    into the next and the sum of two keys is the key of the product
-    monomial.  Each output coefficient becomes a Fraction once, at the end;
-    terms that cancel to zero are dropped.
+    c is a rational scalar and each f is a term map in n variables; k may be
+    0, and an empty term map makes its product vanish.  All products are put
+    over one common denominator, each factor's coefficients become integer
+    numerators, and every exponent tuple is packed into one int with `width`
+    bits per variable.  `width` holds the largest total degree any product
+    reaches, so adding two packed keys never carries from one field into the
+    next and the sum of two keys is the key of the product monomial.  The
+    factors before the last are multiplied into a packed partial product,
+    and the last one streams into the accumulator.  Each output coefficient
+    becomes a Fraction once, at the end; terms that cancel to zero are
+    dropped.
     """
-    width = max(_degree(a) + _degree(b) for _, a, b in products).bit_length() or 1
+    products = [(c, factors) for c, factors in products if all(factors)]
+    if not products:
+        # substituting into a zero polynomial is common and needs no set-up
+        return {}
+    width = max(sum(map(_degree, fs)) for _, fs in products).bit_length() or 1
     shifts = range(0, n * width, width)
-    dens = [(_denominator(a), _denominator(b)) for _, a, b in products]
-    den = lcm(*(c.denominator * da * db for (c, _, _), (da, db) in zip(products, dens)))
+    dens = [list(map(_denominator, fs)) for _, fs in products]
+    scales = [c.denominator * prod(ds) for (c, _), ds in zip(products, dens)]
+    den = lcm(*scales)
     acc: Dict[int, int] = {}
-    get = acc.get
-    for (c, a, b), (da, db) in zip(products, dens):
-        factor = c.numerator * (den // (c.denominator * da * db))
-        right = _packed(b, db, shifts)
-        for ka, ca in _packed(a, da, shifts):
-            ca *= factor
-            for kb, cb in right:
-                key = ka + kb
-                acc[key] = get(key, 0) + ca * cb
+    for (c, factors), ds, scale in zip(products, dens, scales):
+        packed = [_packed(f, d, shifts) for f, d in zip(factors, ds)]
+        # padded in front with the packed constant 1 to at least two factors
+        partial, *middle, last = [[(0, 1)]] * (2 - len(packed)) + packed
+        for right in middle:
+            partial = _accumulate({}, partial, right, 1).items()
+        _accumulate(acc, partial, last, c.numerator * (den // scale))
     mask = (1 << width) - 1
     return {
         tuple([key >> shift & mask for shift in shifts]): Fraction(num, den)
         for key, num in acc.items()
         if num
     }
+
+
+def _accumulate(acc: Dict[int, int], left, right, scale: int) -> Dict[int, int]:
+    """Add scale times the product of two packed [(key, int)] factors into acc."""
+    get = acc.get
+    for ka, ca in left:
+        ca *= scale
+        for kb, cb in right:
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
+    return acc
 
 
 def _degree(terms: Dict) -> int:

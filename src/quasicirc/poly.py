@@ -9,11 +9,11 @@ Zero coefficients are never stored, so structural equality of the term maps
 is mathematical equality.  All arithmetic is exact; floats are rejected at
 the boundary.
 
-Products (`*` and the accumulation inside `substitute`) run on the integer
-kernel in `intpoly`: coefficients over one common denominator, exponent
-tuples packed into single ints, one Fraction made per output term, and a
-direct path for a factor with one term.  `terms`, `coefficient()` and every
-public result still hold Fractions.
+Products (`*` and the accumulation inside `substitute`) run on
+`intpoly.sum_of_products`, the one integer kernel: coefficients over one
+common denominator, exponent tuples packed into single ints, and one
+Fraction made per output term.  `terms`, `coefficient()` and every public
+result still hold Fractions.
 
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, whitespace-insensitive, with exact rational literals
@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, DoesNotFixOrigin, IndexOutOfRange, ParseError
-from .intpoly import product, sum_of_products
+from .intpoly import sum_of_products
 from .linalg import LinearMap, as_fraction
 from .weights import MultiIndex, WeightVector, weighted_degree
 
@@ -134,7 +134,8 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        return Polynomial._from_clean(self.n, product(self.n, self._terms, other._terms))
+        terms = sum_of_products(self.n, ((1, [self._terms, other._terms]),))
+        return Polynomial._from_clean(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -270,17 +271,10 @@ class Polynomial:
             cache[key] = result
             return result
 
-        one = {(0,) * target: Fraction(1)}
-        products = []
-        for alpha, coeff in self._terms.items():
-            factors = [power(j, e)._terms for j, e in enumerate(alpha) if e] or [one]
-            head = one if len(factors) == 1 else factors[0]
-            for factor in factors[1:-1]:
-                head = product(target, head, factor)
-            if head and factors[-1]:
-                products.append((coeff, head, factors[-1]))
-        if not products:
-            return Polynomial.zero(target)
+        products = [
+            (coeff, [power(j, e)._terms for j, e in enumerate(alpha) if e])
+            for alpha, coeff in self._terms.items()
+        ]
         return Polynomial._from_clean(target, sum_of_products(target, products))
 
     def __str__(self) -> str:

@@ -145,19 +145,27 @@ class TriangularResonantMap:
         try:
             raw_weights = data["weights"]
             raw_g = data.get("g", {})
-            entries = tuple(operator.index(w) for w in raw_weights)
+            entries = tuple(operator.index(_not_bool(w)) for w in raw_weights)
             coeffs = {}
             for key, part in raw_g.items():
                 i = int(key)
                 for alpha_text, coeff_text in part.items():
                     alpha = tuple(int(a) for a in alpha_text.split(","))
-                    coeffs[(i, alpha)] = as_fraction(coeff_text)
+                    coeffs[(i, alpha)] = as_fraction(_not_bool(coeff_text))
         except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed triangular map object: {exc}") from exc
         return make_sigma(WeightVector(entries), coeffs)
 
     def __str__(self) -> str:
         return str(self.as_poly_map())
+
+
+def _not_bool(value):
+    # JSON true/false decode to bools, which operator.index and Fraction
+    # read as 1 and 0
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {str(value).lower()}")
+    return value
 
 
 def make_sigma(weights: WeightVector, coeffs: Mapping) -> TriangularResonantMap:

@@ -163,6 +163,9 @@ MALFORMED_VALUE_CASES = [
     ("sigma_float_weight", "sigma", {"weights": [1.5, 2], "g": {}}),
     ("linear_zero_denominator", "linear", [["1/0"]]),
     ("linear_string_rows", "linear", ["12", "34"]),
+    ("sigma_boolean_weight", "sigma", {"weights": [True, 2], "g": {}}),
+    ("sigma_boolean_coefficient", "sigma", {"weights": [1, 2], "g": {"2": {"2,0": True}}}),
+    ("linear_boolean_entries", "linear", [[True, False], [False, True]]),
 ]
 
 

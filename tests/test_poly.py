@@ -201,7 +201,7 @@ def test_product_cancelling_to_zero_terms():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(1, 3).flatmap(
+    st.integers(1, 4).flatmap(
         lambda n: st.tuples(
             sparse_polynomials(n, st.integers(0, 3), max_terms=4),
             st.lists(

@@ -56,6 +56,9 @@ def test_make_sigma_rejects_linear():
     w = WeightVector((1, 2))
     with pytest.raises(NotNonlinear):
         make_sigma(w, {(2, (0, 1)): 1})
+    with pytest.raises(NotNonlinear):
+        # a zero term is dropped before TriangularResonantMap sees it
+        make_sigma(w, {(2, (0, 1)): 0})
 
 
 def test_make_sigma_rejects_bad_index_and_shape():
