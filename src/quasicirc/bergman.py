@@ -17,6 +17,7 @@ from .weights import (
     BlockPartition,
     WeightVector,
     block_partition,
+    has_weighted_exponents,
     weighted_exponents,
 )
 
@@ -47,11 +48,10 @@ class AdmissibilityPattern:
 
 
 def admissibility_pattern(weights: WeightVector) -> AdmissibilityPattern:
-    n = weights.n
-    table = tuple(
-        tuple(admissible_exponents(weights, i, j) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
+    """The table of `admissible_exponents`; equal m_i - m_j share one listing."""
+    m = weights.m
+    listing = {t: weighted_exponents(weights, t) for t in {a - b for a in m for b in m}}
+    table = tuple(tuple(listing[a - b] for b in m) for a in m)
     return AdmissibilityPattern(weight=weights, entries=table)
 
 
@@ -85,7 +85,7 @@ def tensor_block_pattern(weights: WeightVector) -> BlockPattern:
         row = []
         for q_start, _ in blocks:
             target = weights.m[p_start - 1] - weights.m[q_start - 1]
-            row.append(target > 0 and len(weighted_exponents(weights, target)) > 0)
+            row.append(target > 0 and has_weighted_exponents(weights, target))
         flags.append(tuple(row))
     return BlockPattern(partition=partition, may_be_nonzero=tuple(flags))
 

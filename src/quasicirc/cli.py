@@ -2,15 +2,18 @@
 
 Exit codes: 0 success, 1 domain error (JSON `{"error": name}` payload on
 stdout), 2 usage error (malformed flags or files; diagnostics on stderr).
-Identical invocations produce byte-identical stdout.
+Identical invocations produce byte-identical stdout, and stdout is
+`json.dumps(payload, indent=2)` byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import bergman as bergman_mod
 from .conjugation import (
@@ -185,6 +188,58 @@ def cmd_bergman(args) -> dict:
     }
 
 
+def _dumps(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte.
+
+    The stdlib's C encoder is used only without an indent.  Here a list of
+    equal-length int rows (the exponent lists that make up large outputs) is
+    formatted with one row template; everything else recurses, and scalars
+    and keys are encoded by `json.dumps` itself.
+    """
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list) -> None:
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        separator = "{" + inner
+        for key, value in obj.items():
+            if isinstance(key, str):
+                key = json.dumps(key)
+            else:  # json's own coercion of int, float, bool and None keys
+                key = json.dumps({key: 0})[1:-4]
+            out.append(f"{separator}{key}: ")
+            _write(value, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+        elif (set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1
+              and set(map(type, chain.from_iterable(obj))) <= {int}):
+            # exact types: a bool is an int to %d, which would print it as 1 or 0
+            cell = inner + "  "
+            k = len(obj[0])
+            row = "[" + cell + ("," + cell).join(["%d"] * k) + inner + "]" if k else "[]"
+            rows = ("," + inner).join([row % tuple(r) for r in obj])
+            out.append(f"[{inner}{rows}{newline}]")
+        else:
+            separator = "[" + inner
+            for item in obj:
+                out.append(separator)
+                _write(item, inner, out)
+                separator = "," + inner
+            out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasicirc",
@@ -262,10 +317,10 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuasicircError as exc:
-        print(json.dumps({"error": type(exc).__name__}, indent=2))
+        print(_dumps({"error": type(exc).__name__}))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
     return 0
 
 

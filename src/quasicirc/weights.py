@@ -140,29 +140,79 @@ def block_partition(weights: WeightVector) -> BlockPartition:
     return BlockPartition(tuple(bounds))
 
 
+def _entries(weights) -> tuple:
+    return weights.m if isinstance(weights, WeightVector) else tuple(weights)
+
+
+def _last_pair(w: int, last: int):
+    """(g, step, inverse) for solving e * w + f * last == r over the naturals.
+
+    A solution needs g = gcd(w, last) to divide r; then e runs exactly over
+    (r / g) * inverse mod step, stepping by step = last / g, up to r // w.
+    """
+    g = math.gcd(w, last)
+    step = last // g
+    return g, step, pow(w // g, -1, step)
+
+
 def weighted_exponents(weights, target: int):
     """All alpha in N^n with m . alpha == target, in lexicographic order.
 
     Accepts a WeightVector or a plain weight tuple.  A negative target has no
-    solutions; target 0 has exactly the zero multi-index.
+    solutions; target 0 has exactly the zero multi-index.  The prefixes are
+    built level by level, so any n works, and the last two entries are solved
+    exactly rather than searched.
     """
-    entries = weights.m if isinstance(weights, WeightVector) else tuple(weights)
+    entries = _entries(weights)
     if target < 0:
         return ()
+    n = len(entries)
+    if n == 1:
+        quotient, rest = divmod(target, entries[0])
+        return () if rest else ((quotient,),)
+    level = [((), target)]
+    for weight in entries[:-2]:
+        deeper = []
+        append = deeper.append
+        for prefix, remaining in level:
+            if remaining:
+                for e in range(remaining // weight + 1):
+                    append((prefix + (e,), remaining - e * weight))
+            else:  # a spent prefix has only the all-zero completion
+                append((prefix, 0))
+        level = deeper
+    w, last = entries[-2:]
+    g, step, inverse = _last_pair(w, last)
     out = []
-    last = len(entries) - 1
-
-    def rec(pos: int, remaining: int, prefix: tuple):
-        if pos == last:
-            quotient, rest = divmod(remaining, entries[pos])
-            if rest == 0:
-                out.append(prefix + (quotient,))
-            return
-        for e in range(remaining // entries[pos] + 1):
-            rec(pos + 1, remaining - e * entries[pos], prefix + (e,))
-
-    rec(0, target, ())
+    append = out.append
+    for prefix, remaining in level:
+        if not remaining:
+            append(prefix + (0,) * (n - len(prefix)))
+        elif remaining % g == 0:
+            for e in range((remaining // g) * inverse % step, remaining // w + 1, step):
+                append(prefix + (e, (remaining - e * w) // last))
     return tuple(out)
+
+
+def has_weighted_exponents(weights, target: int) -> bool:
+    """Whether `weighted_exponents(weights, target)` is nonempty, without listing it.
+
+    Only the distinct remaining degrees are kept level by level, never the
+    prefixes, so this does no more work than the listing.
+    """
+    entries = _entries(weights)
+    if target < 0:
+        return False
+    if len(entries) == 1:
+        return target % entries[0] == 0
+    remainders = {target}
+    for weight in entries[:-2]:
+        remainders = {r - e * weight for r in remainders for e in range(r // weight + 1)}
+        if 0 in remainders:
+            return True
+    w, last = entries[-2:]
+    g, step, inverse = _last_pair(w, last)
+    return any(r % g == 0 and (r // g) * inverse % step <= r // w for r in remainders)
 
 
 def resonance_set(weights: WeightVector, i: int):

@@ -1,11 +1,14 @@
+import argparse
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from quasicirc import cli
+from quasicirc import bergman, cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -225,3 +228,71 @@ def test_module_entry_point_matches_in_process():
     )
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "partition_1223.json").read_text(encoding="utf-8")
+
+
+def test_parser_is_reused_across_runs(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for cases in (GOLDEN_CASES, GOLDEN_CASES[::-1]):
+        for golden_name, expected_code, argv in cases:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == expected_code
+            assert out == (GOLDEN / golden_name).read_text(encoding="utf-8")
+        assert run_cli(capsys, "resonance", "--weights", "a,b")[:2] == (2, "")
+        code, out, _ = run_cli(
+            capsys, "sigma", "random", "--weights", "1,2", "--seed", "1", "--pool=1,2"
+        )
+        assert code == 0
+        assert json.loads(out)["g"]["2"]["2,0"] in ("1", "2")
+
+
+def test_bergman_lists_each_degree_once(monkeypatch):
+    listed = Counter()
+    weighted_exponents = bergman.weighted_exponents
+
+    def counting(weights, target):
+        listed[target] += 1
+        return weighted_exponents(weights, target)
+
+    monkeypatch.setattr(bergman, "weighted_exponents", counting)
+    payload = cli.cmd_bergman(argparse.Namespace(weights=(1, 1, 1, 1, 1, 20)))
+    assert len(payload["admissible"][5][0]) == 8855
+    assert listed[19] == 1
+    assert set(listed.values()) == {1}
+
+
+def test_resonance_on_many_variables(capsys):
+    code, out, err = run_cli(capsys, "resonance", "--weights", ",".join(["1"] * 1200),
+                             "--index", "1")
+    assert (code, err) == (0, "")
+    exponents = json.loads(out)["set"]
+    assert len(exponents) == 1200
+    assert exponents == sorted(
+        [int(k == j) for k in range(1200)] for j in range(1200)
+    )
+
+
+@st.composite
+def int_rows(draw):
+    """A list or tuple of int rows; lengths may differ, a bool or float may intrude."""
+    entries = st.integers() | st.integers(-2**80, 2**80)
+    if draw(st.booleans()):
+        entries |= draw(st.sampled_from([st.booleans(), st.floats()]))
+    k = draw(st.integers(0, 4))
+    sizes = {"min_size": k, "max_size": k} if draw(st.booleans()) else {"max_size": 4}
+    row = st.lists(entries, **sizes) | st.lists(entries, **sizes).map(tuple)
+    return draw(st.lists(row, max_size=5) | st.lists(row, max_size=5).map(tuple))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+    | st.floats() | st.text() | st.sampled_from(["", "é", '"\\\n\t\x00', "\u2028"])
+    | int_rows(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text() | st.integers() | st.booleans() | st.none(), children),
+    max_leaves=12,
+)
+
+
+@given(int_rows() | JSON_VALUES)
+def test_dumps_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)

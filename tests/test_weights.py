@@ -18,7 +18,8 @@ from quasicirc import (
     weighted_degree,
     weighted_exponents,
 )
-from oracles import all_weight_tuples, box_resonance_set
+from quasicirc.weights import has_weighted_exponents
+from oracles import all_weight_tuples, box_resonance_set, box_weighted_exponents
 
 
 def weight_vectors(max_n=4, max_entry=8):
@@ -210,3 +211,19 @@ def test_matches_box_oracle_on_small_vectors():
         w = WeightVector(m)
         for i in range(1, w.n + 1):
             assert set(resonance_set(w, i)) == box_resonance_set(m, i)
+        # every degree up to past the largest weight, most of them no weight
+        for target in range(-1, m[-1] + 4):
+            expected = box_weighted_exponents(m, target)
+            exponents = weighted_exponents(w, target)
+            assert list(exponents) == sorted(expected)
+            assert has_weighted_exponents(w, target) == bool(expected)
+
+
+def test_unreachable_degrees_have_no_exponents():
+    assert weighted_exponents((4, 6, 9), 11) == ()
+    assert not has_weighted_exponents((4, 6, 9), 11)
+    assert has_weighted_exponents((4, 6, 9), 13)
+    # gcd(w, last) > 1 in the exactly solved last pair, and a spent prefix
+    assert weighted_exponents((1, 4, 6), 10) == (
+        (0, 1, 1), (2, 2, 0), (4, 0, 1), (6, 1, 0), (10, 0, 0)
+    )
