@@ -193,15 +193,18 @@ def _dumps(obj) -> str:
 
     The stdlib's C encoder is used only without an indent.  Here a list of
     equal-length int rows (the exponent lists that make up large outputs) is
-    formatted with one row template; everything else recurses, and scalars
+    formatted with one row template, once per object and indent, since
+    table entries share one listing; everything else recurses, and scalars
     and keys are encoded by `json.dumps` itself.
     """
     out = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, {})
     return "".join(out)
 
 
-def _write(obj, newline: str, out: list) -> None:
+def _write(obj, newline: str, out: list, listings: dict) -> None:
+    # listings maps (id, newline) of a row listing to its text; obj keeps
+    # every listing alive for the whole call, so no id is reused
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -214,12 +217,15 @@ def _write(obj, newline: str, out: list) -> None:
             else:  # json's own coercion of int, float, bool and None keys
                 key = json.dumps({key: 0})[1:-4]
             out.append(f"{separator}{key}: ")
-            _write(value, inner, out)
+            _write(value, inner, out, listings)
             separator = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
+        key = (id(obj), newline)
         if not obj:
             out.append("[]")
+        elif key in listings:
+            out.append(listings[key])
         elif (set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1
               and set(map(type, chain.from_iterable(obj))) <= {int}):
             # exact types: a bool is an int to %d, which would print it as 1 or 0
@@ -227,12 +233,13 @@ def _write(obj, newline: str, out: list) -> None:
             k = len(obj[0])
             row = "[" + cell + ("," + cell).join(["%d"] * k) + inner + "]" if k else "[]"
             rows = ("," + inner).join([row % tuple(r) for r in obj])
-            out.append(f"[{inner}{rows}{newline}]")
+            listings[key] = f"[{inner}{rows}{newline}]"
+            out.append(listings[key])
         else:
             separator = "[" + inner
             for item in obj:
                 out.append(separator)
-                _write(item, inner, out)
+                _write(item, inner, out, listings)
                 separator = "," + inner
             out.append(newline + "]")
     else:

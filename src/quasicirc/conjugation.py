@@ -8,13 +8,25 @@ when L mixes blocks, the degree can exceed the bound, and `find_violation`
 searches for an explicit witness.  `solve_conjugacy` goes the other way: it
 recovers (sigma, J) with sigma . f = J . sigma from f alone by solving an
 exact linear system for the finitely many admissible coefficients of g.
+
+That system is first taken at a few fixed integer points, where it has
+about as many rows as unknowns.  Each point row is a linear combination of
+the rows that match coefficients monomial by monomial, so an inconsistent
+point system proves that no sigma exists, and a unique point solution is
+the only candidate, which one exact conjugation accepts or rejects.  Points
+that leave a direction unseen (a free parameter, or unlucky points) send
+the solve to the full coefficient system, whose free count is exact; see
+Schwartz, J. ACM 27(4), 1980, and Zippel, EUROSAM 1979, on why generic
+points lose no rank.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -25,6 +37,7 @@ from .errors import (
     SingularLinearPart,
     WeightMismatch,
 )
+from .intpoly import evaluate
 from .linalg import LinearMap, solve_exact
 from .poly import Polynomial, PolyMap
 from .resonant import (
@@ -240,15 +253,32 @@ class ConjugacySolution:
     free_parameters: int
 
 
+#: the evaluated system's points: a fixed seeded sequence of integer points
+#: with coordinates in [-POINT_RANGE, POINT_RANGE], the same for every solve
+POINT_SEED = 12345
+POINT_RANGE = 1000
+
+
 def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     """Recover (sigma, J) with sigma . f = J . sigma, or prove none exists.
 
     J is forced to be the linear part of f.  The unknowns are the nonlinear
     resonant coefficients of g (sigma = id + g); both sides of the equation
     are affine in them -- the left through g_i(f), the right through J g --
-    so matching coefficients monomial by monomial gives an exact linear
-    system.  Inconsistency means f is not a conjugate of its linear part by
-    any triangular resonant map.
+    so the equation is an exact linear system.  It is solved first at
+    ceil(K/n) + 1 integer points for K unknowns, n rows per point, and one
+    of three things follows:
+
+    - the point system is inconsistent: NoResonantConjugacy.  Every point
+      row is a linear combination of the coefficient rows (the rows that
+      match coefficients monomial by monomial), so those are inconsistent
+      too;
+    - it has one solution: any solution of the coefficient system solves
+      the point system, so this is the only candidate.  The exact residual
+      conjugate(sigma, J) == f, equivalent to sigma . f == J . sigma because
+      sigma is invertible, accepts it or proves NoResonantConjugacy;
+    - it leaves free unknowns: the coefficient system is built and solved,
+      which gives the exact free_parameters, with the free ones set to zero.
     """
     if f.n != weights.n:
         raise DimensionMismatch(
@@ -264,6 +294,66 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         for i in range(1, n + 1)
         for alpha in nonlinear_resonant_monomials(weights, i)
     ]
+    solved = solve_exact(*_point_system(f, j_matrix, unknowns), len(unknowns))
+    unique = solved is not None and not solved[1]
+    if solved and solved[1]:
+        # unknowns free at these points: only the coefficient system counts
+        # the free parameters exactly
+        solved = solve_exact(*_coefficient_system(f, j_matrix, unknowns), len(unknowns))
+    if solved is None:
+        raise NoResonantConjugacy(
+            "no triangular resonant map conjugates this map to its linear part"
+        )
+    solution, free_count = solved
+    sigma = make_sigma(
+        weights,
+        {key: value for key, value in zip(unknowns, solution) if value},
+    )
+    residual_zero = conjugate(sigma, j_matrix) == f
+    if unique and not residual_zero:
+        raise NoResonantConjugacy(
+            "the only candidate map does not conjugate this map to its linear part"
+        )
+    return ConjugacySolution(
+        sigma=sigma,
+        linear=j_matrix,
+        residual_zero=residual_zero,
+        free_parameters=free_count,
+    )
+
+
+def _point_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
+    """Rows and right-hand sides of sigma . f = J . sigma at the fixed points.
+
+    At a point p, row i holds [comp_k == i] f(p)^alpha_k - J[i][comp_k] p^alpha_k
+    for each unknown (comp_k, alpha_k), with right-hand side (J p)_i - f_i(p).
+    """
+    n = f.n
+    rng = random.Random(POINT_SEED)
+    rows: List[List[Fraction]] = []
+    rhs: List[Fraction] = []
+    for _ in range(-(-len(unknowns) // n) + 1):  # ceil(K/n) + 1 points
+        point = [rng.randint(-POINT_RANGE, POINT_RANGE) for _ in range(n)]
+        powers: Dict = {}
+        image = [evaluate(p.terms, point, 1, powers) for p in f.components]
+        den = lcm(*(v.denominator for v in image))
+        image_num = [v.numerator * (den // v.denominator) for v in image]
+        image_powers: Dict = {}
+        at_image = [evaluate({alpha: 1}, image_num, den, image_powers) for _, alpha in unknowns]
+        at_point = [evaluate({alpha: 1}, point, 1, powers) for _, alpha in unknowns]
+        for i in range(1, n + 1):
+            j_row = j_matrix.rows[i - 1]
+            rows.append([
+                (value if comp == i else 0) - j_row[comp - 1] * plain
+                for (comp, _), value, plain in zip(unknowns, at_image, at_point)
+            ])
+            rhs.append(sum(map(operator.mul, j_row, point)) - image[i - 1])
+    return rows, rhs
+
+
+def _coefficient_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
+    """Rows and right-hand sides of sigma . f = J . sigma, one per monomial."""
+    n = f.n
     j_poly = PolyMap.from_linear(j_matrix)
     power_cache: Dict = {}
     f_powers = [
@@ -288,22 +378,4 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         for beta in sorted(set(base).union(*col_terms)):
             rows.append([terms.get(beta, absent) for terms in col_terms])
             rhs.append(-base.get(beta, absent))
-
-    solved = solve_exact(rows, rhs, len(unknowns))
-    if solved is None:
-        raise NoResonantConjugacy(
-            "no triangular resonant map conjugates this map to its linear part"
-        )
-    solution, free_count = solved
-    sigma = make_sigma(
-        weights,
-        {key: value for key, value in zip(unknowns, solution) if value},
-    )
-    sigma_map = sigma.as_poly_map()
-    residual_zero = sigma_map.compose(f) == j_poly.compose(sigma_map)
-    return ConjugacySolution(
-        sigma=sigma,
-        linear=j_matrix,
-        residual_zero=residual_zero,
-        free_parameters=free_count,
-    )
+    return rows, rhs

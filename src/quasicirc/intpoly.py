@@ -8,8 +8,9 @@ one common denominator, and every exponent tuple is packed into one int
 "Parallel sparse polynomial multiplication using heaps", ISSAC 2009).  Each
 output coefficient becomes a Fraction once, at the end.
 
-`sum_of_products` is the one entry point, and so the one place where
-Fractions become ints and back.
+`sum_of_products` is the one product routine, and so the one place where
+products turn Fractions into ints and back.  `evaluate` is its counterpart
+for values at a point: one integer sum per term map, and one Fraction.
 """
 
 from __future__ import annotations
@@ -58,6 +59,39 @@ def sum_of_products(n: int, products) -> Dict:
         for key, num in acc.items()
         if num
     }
+
+
+def evaluate(terms: Dict, point, den: int, powers: Dict) -> Fraction:
+    """Value of a term map at the point (x_1/den, ..., x_n/den), on Python ints.
+
+    point holds the integers x_j.  The coefficients are put over one common
+    denominator and every term is made homogeneous of the map's total degree
+    D with a power of den, so the value is one integer sum over
+    (common denominator * den^D).  `powers` maps j to the list of powers
+    [1, x_j, x_j^2, ...] and n to the powers of den, each grown as far as a
+    term map needs; term maps evaluated at the same point share it.
+    """
+    if not terms:
+        return Fraction(0)
+    top = _degree(terms)
+    common = _denominator(terms)
+    tables = []
+    for j, x in enumerate([*point, den]):
+        table = powers.setdefault(j, [1])
+        while len(table) <= top:
+            table.append(table[-1] * x)
+        tables.append(table)
+    scale = tables.pop()
+    total = 0
+    for alpha, c in terms.items():
+        num = c.numerator * (common // c.denominator)
+        for table, e in zip(tables, alpha):
+            if e:
+                num *= table[e]
+        if den != 1:
+            num *= scale[top - sum(alpha)]
+        total += num
+    return Fraction(total, common * scale[top])
 
 
 def _accumulate(acc: Dict[int, int], left, right, scale: int) -> Dict[int, int]:

@@ -12,8 +12,9 @@ the boundary.
 Products (`*` and the accumulation inside `substitute`) run on
 `intpoly.sum_of_products`, the one integer kernel: coefficients over one
 common denominator, exponent tuples packed into single ints, and one
-Fraction made per output term.  `terms`, `coefficient()` and every public
-result still hold Fractions.
+Fraction made per output term.  `evaluate` runs on `intpoly.evaluate`,
+which sums integer terms at a point over one common denominator.  `terms`,
+`coefficient()` and every public result still hold Fractions.
 
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, whitespace-insensitive, with exact rational literals
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, DoesNotFixOrigin, IndexOutOfRange, ParseError
-from .intpoly import sum_of_products
+from .intpoly import evaluate as evaluate_terms, sum_of_products
 from .linalg import LinearMap, as_fraction
 from .weights import MultiIndex, WeightVector, weighted_degree
 
@@ -212,18 +214,13 @@ class Polynomial:
         return Polynomial._from_clean(self.n, {a: c for a, c in out.items() if c})
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point, put over one common denominator."""
         values = [as_fraction(v) for v in point]
         if len(values) != self.n:
             raise DimensionMismatch(f"point has length {len(values)}, expected {self.n}")
-        total = Fraction(0)
-        for alpha, coeff in self._terms.items():
-            term = coeff
-            for v, e in zip(values, alpha):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        den = lcm(*(v.denominator for v in values))
+        numerators = [v.numerator * (den // v.denominator) for v in values]
+        return evaluate_terms(self._terms, numerators, den, {})
 
     __call__ = evaluate
 

@@ -220,12 +220,15 @@ def invert_sigma(sigma: TriangularResonantMap) -> TriangularResonantMap:
     those are recovered by the already-built components.  The recursion needs
     no series truncation: every step is a finite polynomial substitution, and
     the result is again triangular resonant (the constructor re-checks).
+    For the same reason the substitutions share one power cache: g_i reads
+    only slots that already hold their final tau_j, never a zero placeholder.
     """
     weights = sigma.weight
     n = weights.n
     zero = Polynomial.zero(n)
     tau_components = []
     h_parts = []
+    power_cache: Dict = {}
     for i in range(1, n + 1):
         g_i = sigma.g[i - 1]
         # The recursion zeroes out slots i..n, so g_i must not touch them;
@@ -235,7 +238,7 @@ def invert_sigma(sigma: TriangularResonantMap) -> TriangularResonantMap:
                 alpha[j] == 0 for j in range(n) if weights.m[j] >= weights.m[i - 1]
             ), f"component {i} uses a variable of weight >= {weights.m[i - 1]}"
         substitution = tau_components + [zero] * (n - len(tau_components))
-        h_i = -g_i.substitute(substitution)
+        h_i = -g_i.substitute(substitution, _cache=power_cache)
         h_parts.append(h_i)
         tau_components.append(Polynomial.variable(n, i) + h_i)
     return TriangularResonantMap(weights, tuple(h_parts))

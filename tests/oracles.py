@@ -153,3 +153,15 @@ def schoolbook_substitute(p: Polynomial, values) -> dict:
         for beta, c in piece.terms.items():
             out[beta] = out.get(beta, Fraction(0)) + c
     return {key: c for key, c in out.items() if c}
+
+
+def schoolbook_evaluate(p: Polynomial, point) -> Fraction:
+    """p at a rational point, one Fraction product per term and factor."""
+    total = Fraction(0)
+    for alpha, coeff in p.terms.items():
+        term = coeff
+        for value, e in zip(point, alpha):
+            for _ in range(e):
+                term *= value
+        total += term
+    return total

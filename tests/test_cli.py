@@ -293,6 +293,11 @@ JSON_VALUES = st.recursive(
 )
 
 
-@given(int_rows() | JSON_VALUES)
+def shared_listings(rows):
+    """One row listing held by several values, at one depth and at others."""
+    return {"a": rows, "b": rows, "c": [rows, {"d": rows}], "e": [[rows]]}
+
+
+@given(int_rows() | JSON_VALUES | int_rows().map(shared_listings))
 def test_dumps_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)

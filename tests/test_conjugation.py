@@ -342,7 +342,8 @@ def test_solve_round_trip_reproduces_map():
             assert conjugate(solution.sigma, solution.linear) == f
 
 
-def test_solve_builds_a_pinned_system(monkeypatch):
+def record_systems(monkeypatch):
+    """(rows, right-hand sides, unknowns) of every system solve_conjugacy eliminates."""
     seen = []
 
     def recording_solve_exact(rows, rhs, n_cols):
@@ -350,10 +351,91 @@ def test_solve_builds_a_pinned_system(monkeypatch):
         return solve_exact(rows, rhs, n_cols)
 
     monkeypatch.setattr(quasicirc.conjugation, "solve_exact", recording_solve_exact)
+    return seen
+
+
+def test_solve_builds_a_pinned_system(monkeypatch):
+    seen = record_systems(monkeypatch)
     text = (Path(__file__).parent / "data" / "map_solvable.txt").read_text(encoding="utf-8")
     assert solve_conjugacy(parse_poly_map(text), W12).residual_zero
     w = WeightVector((1, 2, 3, 5))
     f = conjugate(random_sigma(w, 5), random_linear_map(w.n, 6))
     assert solve_conjugacy(f, w).residual_zero
-    # (rows, right-hand sides, unknowns) handed to the elimination per solve
-    assert seen == [(1, 1, 1), (1220, 1220, 8)]
+    # one point system per solve: ceil(K/n) + 1 points of n rows each
+    assert seen == [(4, 4, 1), (12, 12, 8)]
+
+
+def test_rank_deficient_points_fall_back_to_coefficients(monkeypatch):
+    seen = record_systems(monkeypatch)
+    # under diag(2, 3, 4) at weights (1, 1, 2) the monomial z1^2 is resonant
+    # (4 = 2 * 2), so its coefficient is free and the other two are fixed
+    w = WeightVector((1, 1, 2))
+    sigma = make_sigma(w, {(3, (1, 1, 0)): 1, (3, (0, 2, 0)): -2})
+    f = conjugate(sigma, LinearMap(((2, 0, 0), (0, 3, 0), (0, 0, 4))))
+    solution = solve_conjugacy(f, w)
+    assert solution.sigma == sigma
+    assert solution.residual_zero
+    assert solution.free_parameters == 1
+    # the point system, then the coefficient system
+    assert seen == [(6, 6, 3), (2, 2, 3)]
+
+
+def test_solve_rejects_the_only_candidate_by_its_residual(monkeypatch):
+    # J = diag(2, 3, 5) leaves only the third row of each point for the three
+    # unknowns of component 3, so the three points fix them without a
+    # consistency check, and only the exact residual sees the z1^5 bump
+    seen = record_systems(monkeypatch)
+    with pytest.raises(NoResonantConjugacy, match="only candidate"):
+        solve_conjugacy(parse_poly_map("2 z1\n3 z2\n5 z3 + z1^5"), WeightVector((1, 2, 4)))
+    assert seen == [(9, 9, 4)]
+
+
+#: the weight vectors of the benchmark's conjugacy round trip
+SOLVE_WEIGHTS = ((1, 2, 4), (1, 2, 6), (1, 3, 6), (1, 2, 3, 4), (1, 2, 3, 5))
+
+
+def bumped(f, weights):
+    """f + z1^(m_n+1) e_n: provably unsolvable when f conjugates a block-diagonal map."""
+    n, m = weights.n, weights.m
+    bump = Polynomial.monomial(n, (m[-1] + 1,) + (0,) * (n - 1))
+    return PolyMap(f.components[:-1] + (f.components[-1] + bump,))
+
+
+def differential_cases():
+    """(label, f, weights) with the path each must take."""
+    for m in SOLVE_WEIGHTS:
+        w = WeightVector(m)
+        for seed in range(2):
+            yield "points", conjugate(random_sigma(w, seed), random_linear_map(w.n, seed + 40)), w
+        f = conjugate(random_sigma(w, 7), random_block_diagonal_map(w, 8))
+        yield "either", bumped(f, w), w
+        yield "fallback", PolyMap.identity(w.n), w
+    yield "fallback", PolyMap.from_linear(LinearMap(((2, 0), (0, 4)))), W12
+
+
+def solve_outcome(f, weights):
+    try:
+        solution = solve_conjugacy(f, weights)
+    except NoResonantConjugacy:
+        return NoResonantConjugacy
+    return solution.sigma, solution.linear, solution.residual_zero, solution.free_parameters
+
+
+def test_point_system_agrees_with_coefficient_system(monkeypatch):
+    coefficient_system = quasicirc.conjugation._coefficient_system
+    fell_back = []
+
+    def recording(*args):
+        fell_back.append(True)
+        return coefficient_system(*args)
+
+    monkeypatch.setattr(quasicirc.conjugation, "_coefficient_system", recording)
+    for label, f, w in differential_cases():
+        fell_back.clear()
+        outcome = solve_outcome(f, w)
+        assert label == "either" or fell_back == ([True] if label == "fallback" else [])
+        with monkeypatch.context() as patch:
+            # no point rows leave every unknown free, so the coefficient
+            # system alone decides
+            patch.setattr(quasicirc.conjugation, "_point_system", lambda *args: ([], []))
+            assert solve_outcome(f, w) == outcome

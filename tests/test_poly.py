@@ -22,6 +22,7 @@ from quasicirc import (
 )
 from oracles import (
     random_poly_map,
+    schoolbook_evaluate,
     schoolbook_product,
     schoolbook_substitute,
     substitution_homogeneity,
@@ -388,6 +389,22 @@ def test_evaluate():
         (z1 * z2).evaluate((0.5, 1))
     with pytest.raises(DimensionMismatch):
         z1.evaluate((1,))
+
+
+@st.composite
+def polynomials_and_points(draw):
+    """A polynomial with exponents up to 40 and a point with mixed denominators."""
+    n = draw(st.integers(1, 4))
+    p = draw(polynomials(n, max_degree=draw(st.sampled_from([0, 3, 40]))))
+    coordinate = st.fractions(min_value=-7, max_value=7, max_denominator=draw(st.sampled_from([1, 5])))
+    return p, draw(st.lists(coordinate, min_size=n, max_size=n))
+
+
+@given(polynomials_and_points())
+def test_evaluate_matches_schoolbook(case):
+    p, point = case
+    assert p.evaluate(point) == schoolbook_evaluate(p, point)
+    assert p.evaluate([str(v) for v in point]) == schoolbook_evaluate(p, point)
 
 
 def test_derivative():
