@@ -9,15 +9,16 @@ searches for an explicit witness.  `solve_conjugacy` goes the other way: it
 recovers (sigma, J) with sigma . f = J . sigma from f alone by solving an
 exact linear system for the finitely many admissible coefficients of g.
 
-That system is first taken at a few fixed integer points, where it has
-about as many rows as unknowns.  Each point row is a linear combination of
-the rows that match coefficients monomial by monomial, so an inconsistent
-point system proves that no sigma exists, and a unique point solution is
-the only candidate, which one exact conjugation accepts or rejects.  Points
-that leave a direction unseen (a free parameter, or unlucky points) send
-the solve to the full coefficient system, whose free count is exact; see
-Schwartz, J. ACM 27(4), 1980, and Zippel, EUROSAM 1979, on why generic
-points lose no rank.
+A map above the degree any conjugate can reach is rejected at once.
+Otherwise the system is first taken at a few fixed integer points, enough
+for each diagonal block of J, where it has about as many rows as unknowns.
+Each point row is a linear combination of the rows that match coefficients
+monomial by monomial, so an inconsistent point system proves that no sigma
+exists, and a unique point solution is the only candidate, which one exact
+conjugation accepts or rejects.  Points that leave a direction unseen (a
+free parameter, or unlucky points) send the solve to the full coefficient
+system, whose free count is exact; see Schwartz, J. ACM 27(4), 1980, and
+Zippel, EUROSAM 1979, on why generic points lose no rank.
 """
 
 from __future__ import annotations
@@ -253,21 +254,19 @@ class ConjugacySolution:
     free_parameters: int
 
 
-#: the evaluated system's points: a fixed seeded sequence of integer points
-#: with coordinates in [-POINT_RANGE, POINT_RANGE], the same for every solve
-POINT_SEED = 12345
-POINT_RANGE = 1000
-
-
 def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     """Recover (sigma, J) with sigma . f = J . sigma, or prove none exists.
 
     J is forced to be the linear part of f.  The unknowns are the nonlinear
     resonant coefficients of g (sigma = id + g); both sides of the equation
     are affine in them -- the left through g_i(f), the right through J g --
-    so the equation is an exact linear system.  It is solved first at
-    ceil(K/n) + 1 integer points for K unknowns, n rows per point, and one
-    of three things follows:
+    so the equation is an exact linear system.  sigma and its inverse are
+    triangular resonant, of total degree at most the resonance order mu
+    (the largest degree of an unknown monomial, or 1), so every conjugate
+    sigma^{-1} . J . sigma has degree at most mu^2, and a map of higher
+    degree is rejected at once.  Otherwise the system is solved first at a
+    few integer points (see `_point_count`), and one of three things
+    follows:
 
     - the point system is inconsistent: NoResonantConjugacy.  Every point
       row is a linear combination of the coefficient rows (the rows that
@@ -294,6 +293,10 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         for i in range(1, n + 1)
         for alpha in nonlinear_resonant_monomials(weights, i)
     ]
+    if f.total_degree() > max([1, *(sum(alpha) for _, alpha in unknowns)]) ** 2:
+        raise NoResonantConjugacy(
+            "no triangular resonant map conjugates this map to its linear part"
+        )
     solved = solve_exact(*_point_system(f, j_matrix, unknowns), len(unknowns))
     unique = solved is not None and not solved[1]
     if solved and solved[1]:
@@ -323,17 +326,19 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
 
 
 def _point_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
-    """Rows and right-hand sides of sigma . f = J . sigma at the fixed points.
+    """Rows and right-hand sides of sigma . f = J . sigma at fixed points.
 
     At a point p, row i holds [comp_k == i] f(p)^alpha_k - J[i][comp_k] p^alpha_k
     for each unknown (comp_k, alpha_k), with right-hand side (J p)_i - f_i(p).
+    The points are the same for every solve: a fresh seeded stream of integer
+    coordinates in [-1000, 1000].
     """
     n = f.n
-    rng = random.Random(POINT_SEED)
+    rng = random.Random(12345)
     rows: List[List[Fraction]] = []
     rhs: List[Fraction] = []
-    for _ in range(-(-len(unknowns) // n) + 1):  # ceil(K/n) + 1 points
-        point = [rng.randint(-POINT_RANGE, POINT_RANGE) for _ in range(n)]
+    for _ in range(_point_count(j_matrix, unknowns)):
+        point = [rng.randint(-1000, 1000) for _ in range(n)]
         powers: Dict = {}
         image = [evaluate(p.terms, point, 1, powers) for p in f.components]
         den = lcm(*(v.denominator for v in image))
@@ -349,6 +354,27 @@ def _point_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
             ])
             rhs.append(sum(map(operator.mul, j_row, point)) - image[i - 1])
     return rows, rhs
+
+
+def _point_count(j_matrix: LinearMap, unknowns: list) -> int:
+    """Points enough for each diagonal block of J: ceil(K_B / |B|) + 1.
+
+    An unknown of component k appears only in the rows of k's block B, so
+    the K_B unknowns of B need ceil(K_B / |B|) points to be fixed, and one
+    more point checks consistency.  The blocks are the finest contiguous
+    ones that J is block-diagonal in.
+    """
+    rows = j_matrix.rows
+    n = len(rows)
+    count, start, end = 1, 0, 0
+    for i in range(n):
+        # the block that holds i reaches the furthest index i is linked to
+        end = max(end, i, *(j for j in range(n) if rows[i][j] or rows[j][i]))
+        if end == i:
+            k = sum(start < comp <= i + 1 for comp, _ in unknowns)
+            count = max(count, -(-k // (i + 1 - start)) + 1)
+            start = i + 1
+    return count
 
 
 def _coefficient_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:

@@ -67,31 +67,28 @@ def evaluate(terms: Dict, point, den: int, powers: Dict) -> Fraction:
     point holds the integers x_j.  The coefficients are put over one common
     denominator and every term is made homogeneous of the map's total degree
     D with a power of den, so the value is one integer sum over
-    (common denominator * den^D).  `powers` maps j to the list of powers
-    [1, x_j, x_j^2, ...] and n to the powers of den, each grown as far as a
-    term map needs; term maps evaluated at the same point share it.
+    (common denominator * den^D).  `powers` caches x_j^e under (j, e), and
+    den^e under (n, e), for the exponents that occur, each taken by
+    repeated squaring; term maps evaluated at the same point share it.
     """
     if not terms:
         return Fraction(0)
     top = _degree(terms)
     common = _denominator(terms)
-    tables = []
-    for j, x in enumerate([*point, den]):
-        table = powers.setdefault(j, [1])
-        while len(table) <= top:
-            table.append(table[-1] * x)
-        tables.append(table)
-    scale = tables.pop()
+    bases = [*point, den]
     total = 0
     for alpha, c in terms.items():
         num = c.numerator * (common // c.denominator)
-        for table, e in zip(tables, alpha):
-            if e:
-                num *= table[e]
         if den != 1:
-            num *= scale[top - sum(alpha)]
+            alpha = (*alpha, top - sum(alpha))
+        for key in enumerate(alpha):
+            if key[1]:
+                value = powers.get(key)
+                if value is None:
+                    value = powers[key] = bases[key[0]] ** key[1]
+                num *= value
         total += num
-    return Fraction(total, common * scale[top])
+    return Fraction(total, common * den**top)
 
 
 def _accumulate(acc: Dict[int, int], left, right, scale: int) -> Dict[int, int]:

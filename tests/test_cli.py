@@ -212,6 +212,14 @@ def test_sigma_invert_high_exponent(capsys, tmp_path):
     assert err == ""
 
 
+def test_solve_map_with_one_high_degree_term(capsys, tmp_path):
+    # no conjugate at weights (1, 1) has degree above 1
+    path = tmp_path / "map.txt"
+    path.write_text("z1 + z1^100000\nz2\n")
+    code, out, err = run_cli(capsys, "solve", "--weights", "1,1", "--map", str(path))
+    assert (code, json.loads(out)) == (1, {"error": "NoResonantConjugacy"})
+
+
 def test_custom_pool_flag(capsys):
     code, out, _ = run_cli(
         capsys, "sigma", "random", "--weights", "1,2", "--seed", "1", "--pool=1"

@@ -361,8 +361,31 @@ def test_solve_builds_a_pinned_system(monkeypatch):
     w = WeightVector((1, 2, 3, 5))
     f = conjugate(random_sigma(w, 5), random_linear_map(w.n, 6))
     assert solve_conjugacy(f, w).residual_zero
-    # one point system per solve: ceil(K/n) + 1 points of n rows each
+    # one point system per solve: J mixes every component, so ceil(K/n) + 1
+    # points of n rows each
     assert seen == [(4, 4, 1), (12, 12, 8)]
+
+
+def test_block_diagonal_linear_part_needs_points_per_block(monkeypatch):
+    # at weights (1, 2, 3) a block-diagonal J is diagonal: the two unknowns of
+    # component 3 see only the third row of each point, so three points fix
+    # them and check consistency
+    seen = record_systems(monkeypatch)
+    w = WeightVector((1, 2, 3))
+    f = conjugate(random_sigma(w, 3), LinearMap(((2, 0, 0), (0, 3, 0), (0, 0, 5))))
+    assert solve_conjugacy(f, w).residual_zero
+    with pytest.raises(NoResonantConjugacy, match="no triangular"):
+        solve_conjugacy(bumped(f, w), w)
+    assert seen == [(9, 9, 3), (9, 9, 3)]
+
+
+def test_solve_rejects_a_map_above_the_degree_bound(monkeypatch):
+    # every conjugate at weights (1, 2) has degree at most 2^2, so no system
+    # is built, and no point is evaluated, for a degree-100000 map
+    seen = record_systems(monkeypatch)
+    with pytest.raises(NoResonantConjugacy, match="no triangular"):
+        solve_conjugacy(parse_poly_map("z1 + z1^100000\nz2"), W12)
+    assert seen == []
 
 
 def test_rank_deficient_points_fall_back_to_coefficients(monkeypatch):
@@ -377,17 +400,18 @@ def test_rank_deficient_points_fall_back_to_coefficients(monkeypatch):
     assert solution.residual_zero
     assert solution.free_parameters == 1
     # the point system, then the coefficient system
-    assert seen == [(6, 6, 3), (2, 2, 3)]
+    assert seen == [(12, 12, 3), (2, 2, 3)]
 
 
 def test_solve_rejects_the_only_candidate_by_its_residual(monkeypatch):
-    # J = diag(2, 3, 5) leaves only the third row of each point for the three
-    # unknowns of component 3, so the three points fix them without a
-    # consistency check, and only the exact residual sees the z1^5 bump
+    # J is one block, so two points of three rows; but only the third row of
+    # each sees the two unknowns of component 3 (J[1][3] = J[2][3] = 0), so
+    # the points fix them without a consistency check, and only the exact
+    # residual sees the z1^4 bump
     seen = record_systems(monkeypatch)
     with pytest.raises(NoResonantConjugacy, match="only candidate"):
-        solve_conjugacy(parse_poly_map("2 z1\n3 z2\n5 z3 + z1^5"), WeightVector((1, 2, 4)))
-    assert seen == [(9, 9, 4)]
+        solve_conjugacy(parse_poly_map("2 z1\n3 z2\nz1 + 5 z3 + z1^4"), WeightVector((1, 2, 3)))
+    assert seen == [(6, 6, 3)]
 
 
 #: the weight vectors of the benchmark's conjugacy round trip
@@ -402,15 +426,16 @@ def bumped(f, weights):
 
 
 def differential_cases():
-    """(label, f, weights) with the path each must take."""
+    """(f, weights): mixing and block-diagonal conjugates, bumped, and free families."""
     for m in SOLVE_WEIGHTS:
         w = WeightVector(m)
         for seed in range(2):
-            yield "points", conjugate(random_sigma(w, seed), random_linear_map(w.n, seed + 40)), w
+            yield conjugate(random_sigma(w, seed), random_linear_map(w.n, seed + 40)), w
         f = conjugate(random_sigma(w, 7), random_block_diagonal_map(w, 8))
-        yield "either", bumped(f, w), w
-        yield "fallback", PolyMap.identity(w.n), w
-    yield "fallback", PolyMap.from_linear(LinearMap(((2, 0), (0, 4)))), W12
+        yield f, w
+        yield bumped(f, w), w
+        yield PolyMap.identity(w.n), w
+    yield PolyMap.from_linear(LinearMap(((2, 0), (0, 4)))), W12
 
 
 def solve_outcome(f, weights):
@@ -430,12 +455,19 @@ def test_point_system_agrees_with_coefficient_system(monkeypatch):
         return coefficient_system(*args)
 
     monkeypatch.setattr(quasicirc.conjugation, "_coefficient_system", recording)
-    for label, f, w in differential_cases():
+    paths = set()
+    for f, w in differential_cases():
         fell_back.clear()
         outcome = solve_outcome(f, w)
-        assert label == "either" or fell_back == ([True] if label == "fallback" else [])
+        # only unknowns that are free in the coefficient system too leave the
+        # point path: the identity, diag(2, 4), and the resonant eigenvalues
+        # random_block_diagonal_map draws at some weights
+        free = outcome is not NoResonantConjugacy and outcome[3] > 0
+        assert fell_back == [True] * free
+        paths.add(free)
         with monkeypatch.context() as patch:
             # no point rows leave every unknown free, so the coefficient
             # system alone decides
             patch.setattr(quasicirc.conjugation, "_point_system", lambda *args: ([], []))
             assert solve_outcome(f, w) == outcome
+    assert paths == {False, True}

@@ -389,6 +389,10 @@ def test_evaluate():
         (z1 * z2).evaluate((0.5, 1))
     with pytest.raises(DimensionMismatch):
         z1.evaluate((1,))
+    # powers only for the exponents that occur, each by repeated squaring
+    p = parse_polynomial("z1^1000000 - 3", 1)
+    assert p.evaluate((2,)) == 2**1000000 - 3
+    assert p.evaluate((Fraction(1, 2),)) == Fraction(1 - 3 * 2**1000000, 2**1000000)
 
 
 @st.composite
