@@ -80,6 +80,11 @@ def conjugate(sigma: TriangularResonantMap, linear: LinearMap) -> PolyMap:
         )
     if linear.determinant() == 0:
         raise SingularLinearMap("conjugation needs an invertible linear map")
+    return _conjugate(sigma, linear)
+
+
+def _conjugate(sigma: TriangularResonantMap, linear: LinearMap) -> PolyMap:
+    """`conjugate` for an invertible L of sigma's dimension, unchecked."""
     tau = invert_sigma(sigma).as_poly_map()
     inner = PolyMap.from_linear(linear).compose(sigma.as_poly_map())
     return tau.compose(inner)
@@ -312,7 +317,7 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         weights,
         {key: value for key, value in zip(unknowns, solution) if value},
     )
-    residual_zero = conjugate(sigma, j_matrix) == f
+    residual_zero = _conjugate(sigma, j_matrix) == f
     if unique and not residual_zero:
         raise NoResonantConjugacy(
             "the only candidate map does not conjugate this map to its linear part"
@@ -340,12 +345,12 @@ def _point_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
     for _ in range(_point_count(j_matrix, unknowns)):
         point = [rng.randint(-1000, 1000) for _ in range(n)]
         powers: Dict = {}
-        image = [evaluate(p.terms, point, 1, powers) for p in f.components]
+        image = [evaluate(p._num, p._den, point, 1, powers) for p in f.components]
         den = lcm(*(v.denominator for v in image))
         image_num = [v.numerator * (den // v.denominator) for v in image]
         image_powers: Dict = {}
-        at_image = [evaluate({alpha: 1}, image_num, den, image_powers) for _, alpha in unknowns]
-        at_point = [evaluate({alpha: 1}, point, 1, powers) for _, alpha in unknowns]
+        at_image = [evaluate({alpha: 1}, 1, image_num, den, image_powers) for _, alpha in unknowns]
+        at_point = [evaluate({alpha: 1}, 1, point, 1, powers) for _, alpha in unknowns]
         for i in range(1, n + 1):
             j_row = j_matrix.rows[i - 1]
             rows.append([

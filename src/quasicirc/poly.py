@@ -1,20 +1,20 @@
 """Sparse exact-rational multivariate polynomials and polynomial maps.
 
-A polynomial in n variables z1..zn is a map from exponent tuples to nonzero
-Fraction coefficients:
+A polynomial in n variables z1..zn is stored as a map from exponent tuples
+to nonzero integer numerators over one positive common denominator, as in
+FLINT's `fmpq_mpoly`:
 
-    z1^2 * z3 + 3/2   ->   {(2, 0, 1): Fraction(1), (0, 0, 0): Fraction(3, 2)}
+    z1^2 * z3 + 3/2   ->   {(2, 0, 1): 2, (0, 0, 0): 3} over 2
 
-Zero coefficients are never stored, so structural equality of the term maps
-is mathematical equality.  All arithmetic is exact; floats are rejected at
-the boundary.
+The form is canonical: no zero numerator is stored, and the gcd of the
+denominator and all numerators is 1, so equality and hashing compare ints.
+All arithmetic is exact; floats are rejected at the boundary.
 
-Products (`*` and the accumulation inside `substitute`) run on
-`intpoly.sum_of_products`, the one integer kernel: coefficients over one
-common denominator, exponent tuples packed into single ints, and one
-Fraction made per output term.  `evaluate` runs on `intpoly.evaluate`,
-which sums integer terms at a point over one common denominator.  `terms`,
-`coefficient()` and every public result still hold Fractions.
+Products (`*` and inside `substitute`) run on `intpoly.sum_of_products`,
+which takes and returns this form; `evaluate` runs on `intpoly.evaluate`.
+`terms` is a read-only Fraction view, built on first use and kept; every
+public result still gives Fractions, and the package's other modules read
+`_num` over `_den` directly.
 
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, whitespace-insensitive, with exact rational literals
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence
 
@@ -35,10 +35,20 @@ from .linalg import LinearMap, as_fraction
 from .weights import MultiIndex, WeightVector, weighted_degree
 
 
+def _over_lcm(terms: Mapping) -> tuple:
+    """Fractions as (integer numerators, lcm of denominators).
+
+    That is canonical without a gcd when no value is zero: a prime's top
+    power in the lcm divides some denominator, and so not its numerator.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {alpha: c.numerator * (den // c.denominator) for alpha, c in terms.items()}, den
+
+
 class Polynomial:
     """An immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_num", "_den", "_terms")
 
     def __init__(self, n: int, terms: Optional[Mapping] = None):
         if n < 1:
@@ -55,27 +65,29 @@ class Polynomial:
             coeff = as_fraction(coeff)
             if coeff:
                 clean[alpha] = coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
+        self.n, self._terms = n, clean
+        self._num, self._den = _over_lcm(clean)
 
     @classmethod
-    def _from_clean(cls, n: int, terms: Dict[MultiIndex, Fraction]) -> "Polynomial":
-        """Trusted constructor for internal use; terms must be canonical."""
+    def _from_ints(cls, n: int, num: Dict[MultiIndex, int], den: int) -> "Polynomial":
+        """Trusted constructor for internal use; num over den must be canonical."""
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", terms)
+        self.n, self._num, self._den, self._terms = n, num, den, None
         return self
 
     @classmethod
+    def _reduced(cls, n: int, num: Dict[MultiIndex, int], den: int) -> "Polynomial":
+        """Trusted constructor: drops zeros, divides out the gcd."""
+        g = gcd(den, *num.values())
+        return cls._from_ints(n, {a: c // g for a, c in num.items() if c}, den // g)
+
+    @classmethod
     def zero(cls, n: int) -> "Polynomial":
-        return cls._from_clean(n, {})
+        return cls._from_ints(n, {}, 1)
 
     @classmethod
     def constant(cls, n: int, value) -> "Polynomial":
-        value = as_fraction(value)
-        if not value:
-            return cls.zero(n)
-        return cls._from_clean(n, {(0,) * n: value})
+        return cls(n, {(0,) * n: value})
 
     @classmethod
     def variable(cls, n: int, j: int) -> "Polynomial":
@@ -83,7 +95,7 @@ class Polynomial:
         if not 1 <= j <= n:
             raise IndexOutOfRange(f"variable index {j} outside 1..{n}")
         alpha = tuple(int(k == j - 1) for k in range(n))
-        return cls._from_clean(n, {alpha: Fraction(1)})
+        return cls._from_ints(n, {alpha: 1}, 1)
 
     @classmethod
     def monomial(cls, n: int, alpha: Sequence[int], coeff=1) -> "Polynomial":
@@ -91,17 +103,20 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping:
-        """Read-only view of the term map (exponent tuple -> coefficient)."""
+        """Read-only Fraction view of the term map."""
+        if self._terms is None:
+            den = self._den
+            self._terms = {alpha: Fraction(c, den) for alpha, c in self._num.items()}
         return MappingProxyType(self._terms)
 
     def coefficient(self, alpha: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(alpha), Fraction(0))
+        return Fraction(self._num.get(tuple(alpha), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.n, Fraction(0))
+        return self.coefficient((0,) * self.n)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     # arithmetic -----------------------------------------------------------
 
@@ -114,19 +129,18 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out = dict(self._terms)
-        for alpha, coeff in other._terms.items():
-            acc = out.get(alpha, Fraction(0)) + coeff
-            if acc:
-                out[alpha] = acc
-            else:
-                out.pop(alpha, None)
-        return Polynomial._from_clean(self.n, out)
+        den = lcm(self._den, other._den)
+        scale = den // self._den
+        out = {alpha: c * scale for alpha, c in self._num.items()}
+        scale = den // other._den
+        for alpha, c in other._num.items():
+            out[alpha] = out.get(alpha, 0) + c * scale
+        return Polynomial._reduced(self.n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._from_clean(self.n, {a: -c for a, c in self._terms.items()})
+        return Polynomial._from_ints(self.n, {a: -c for a, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -136,8 +150,8 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        terms = sum_of_products(self.n, ((1, [self._terms, other._terms]),))
-        return Polynomial._from_clean(self.n, terms)
+        factors = [(self._num, self._den), (other._num, other._den)]
+        return Polynomial._from_ints(self.n, *sum_of_products(self.n, ((1, factors),)))
 
     __rmul__ = __mul__
 
@@ -159,18 +173,16 @@ class Polynomial:
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self.n == other.n and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
+        return hash((self.n, self._den, frozenset(self._num.items())))
 
     # structure ------------------------------------------------------------
 
     def total_degree(self) -> int:
         """Max |alpha| over stored terms; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(sum(alpha) for alpha in self._terms)
+        return max(map(sum, self._num), default=0)
 
     def is_m_homogeneous(self, weights: WeightVector, k: int) -> bool:
         """True iff every term has weighted degree m . alpha == k.
@@ -179,7 +191,7 @@ class Polynomial:
         """
         if weights.n != self.n:
             raise DimensionMismatch(f"dimensions differ: {self.n} vs {weights.n}")
-        return all(weighted_degree(weights.m, alpha) == k for alpha in self._terms)
+        return all(weighted_degree(weights.m, alpha) == k for alpha in self._num)
 
     def is_i_resonant(self, weights: WeightVector, i: int) -> bool:
         """True iff the polynomial is m-homogeneous of order m_i."""
@@ -194,33 +206,33 @@ class Polynomial:
         """
         if weights.n != self.n:
             raise DimensionMismatch(f"dimensions differ: {self.n} vs {weights.n}")
-        buckets: Dict[int, Dict[MultiIndex, Fraction]] = {}
-        for alpha, coeff in self._terms.items():
-            buckets.setdefault(weighted_degree(weights.m, alpha), {})[alpha] = coeff
+        buckets: Dict[int, Dict[MultiIndex, int]] = {}
+        for alpha, c in self._num.items():
+            buckets.setdefault(weighted_degree(weights.m, alpha), {})[alpha] = c
         return {
-            k: Polynomial._from_clean(self.n, part) for k, part in sorted(buckets.items())
+            k: Polynomial._reduced(self.n, part, self._den)
+            for k, part in sorted(buckets.items())
         }
 
     def derivative(self, j: int) -> "Polynomial":
         """Partial derivative with respect to z_j (1-based)."""
         if not 1 <= j <= self.n:
             raise IndexOutOfRange(f"variable index {j} outside 1..{self.n}")
-        out: Dict[MultiIndex, Fraction] = {}
-        for alpha, coeff in self._terms.items():
+        # distinct exponents stay distinct, so no two terms meet
+        out: Dict[MultiIndex, int] = {}
+        for alpha, c in self._num.items():
             e = alpha[j - 1]
             if e:
-                beta = alpha[: j - 1] + (e - 1,) + alpha[j:]
-                out[beta] = out.get(beta, Fraction(0)) + coeff * e
-        return Polynomial._from_clean(self.n, {a: c for a, c in out.items() if c})
+                out[alpha[: j - 1] + (e - 1,) + alpha[j:]] = c * e
+        return Polynomial._reduced(self.n, out, self._den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point, put over one common denominator."""
         values = [as_fraction(v) for v in point]
         if len(values) != self.n:
             raise DimensionMismatch(f"point has length {len(values)}, expected {self.n}")
-        den = lcm(*(v.denominator for v in values))
-        numerators = [v.numerator * (den // v.denominator) for v in values]
-        return evaluate_terms(self._terms, numerators, den, {})
+        numerators, den = _over_lcm(dict(enumerate(values)))
+        return evaluate_terms(self._num, self._den, [*numerators.values()], den, {})
 
     __call__ = evaluate
 
@@ -247,11 +259,12 @@ class Polynomial:
             if key in cache:
                 return cache[key]
             value = values[j]
-            if len(value._terms) < 2:
+            if len(value._num) < 2:
                 # zero, or one term whose power is one term: no steps at all
-                result = Polynomial._from_clean(
+                result = Polynomial._from_ints(
                     target,
-                    {tuple(a * e for a in alpha): c**e for alpha, c in value._terms.items()},
+                    {tuple(a * e for a in alpha): c**e for alpha, c in value._num.items()},
+                    value._den**e,
                 )
             else:
                 # stepped up from the highest cached power, caching every
@@ -268,11 +281,11 @@ class Polynomial:
             cache[key] = result
             return result
 
-        products = [
-            (coeff, [power(j, e)._terms for j, e in enumerate(alpha) if e])
-            for alpha, coeff in self._terms.items()
-        ]
-        return Polynomial._from_clean(target, sum_of_products(target, products))
+        products = []
+        for alpha, c in self._num.items():
+            factors = [power(j, e) for j, e in enumerate(alpha) if e]
+            products.append((c, [(f._num, f._den) for f in factors]))
+        return Polynomial._from_ints(target, *sum_of_products(target, products, self._den))
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -306,15 +319,11 @@ class PolyMap:
     def from_linear(cls, linear: LinearMap) -> "PolyMap":
         """The linear map z -> A z as a polynomial map."""
         n = linear.n
-        comps = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                if linear.rows[i][j]:
-                    alpha = tuple(int(k == j) for k in range(n))
-                    terms[alpha] = linear.rows[i][j]
-            comps.append(Polynomial._from_clean(n, terms))
-        return cls(tuple(comps))
+        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        return cls([
+            Polynomial._from_ints(n, *_over_lcm({u: x for u, x in zip(units, row) if x}))
+            for row in linear.rows
+        ])
 
     def component(self, i: int) -> Polynomial:
         """Component i (1-based)."""
@@ -343,10 +352,10 @@ class PolyMap:
         for i, p in enumerate(self.components, start=1):
             if p.constant_term():
                 raise DoesNotFixOrigin(f"component {i} has a constant term")
-            row = [Fraction(0)] * self.n
-            for alpha, coeff in p.terms.items():
+            row = [0] * self.n
+            for alpha, c in p._num.items():
                 if sum(alpha) == 1:
-                    row[alpha.index(1)] = coeff
+                    row[alpha.index(1)] = Fraction(c, p._den)
             rows.append(tuple(row))
         return LinearMap(tuple(rows))
 
@@ -428,7 +437,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                     raise ParseError("zero denominator")
                 coeff = Fraction(numerator, denominator)
             else:
-                coeff = Fraction(numerator)
+                coeff = numerator
             if peek() == "*":
                 take()
         exponents = [0] * n
@@ -449,16 +458,16 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         if coeff is None and not saw_var:
             raise ParseError(f"expected a term, got {peek()!r}")
         if coeff is None:
-            coeff = Fraction(1)
+            coeff = 1
         return tuple(exponents), coeff
 
     terms: Dict[MultiIndex, Fraction] = {}
-    sign = Fraction(1)
+    sign = 1
     if peek() in ("+", "-"):
-        sign = Fraction(-1) if take() == "-" else Fraction(1)
+        sign = -1 if take() == "-" else 1
     while True:
         alpha, coeff = parse_term()
-        acc = terms.get(alpha, Fraction(0)) + sign * coeff
+        acc = terms.get(alpha, 0) + sign * coeff
         if acc:
             terms[alpha] = acc
         else:
@@ -467,14 +476,14 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
             break
         tok = take()
         if tok == "+":
-            sign = Fraction(1)
+            sign = 1
         elif tok == "-":
-            sign = Fraction(-1)
+            sign = -1
         else:
             raise ParseError(f"expected '+' or '-', got {tok!r}")
         if peek() is None:
             raise ParseError("dangling sign at end of polynomial")
-    return Polynomial._from_clean(n, terms)
+    return Polynomial(n, terms)
 
 
 def _term_sort_key(alpha: MultiIndex):

@@ -97,7 +97,7 @@ class TriangularResonantMap:
                 raise DimensionMismatch(
                     f"component {i} lives in {part.n} variables, expected {self.weight.n}"
                 )
-            for alpha in part.terms:
+            for alpha in part._num:
                 _validate_part(self.weight, i, alpha)
         object.__setattr__(self, "g", g)
 
@@ -233,7 +233,7 @@ def invert_sigma(sigma: TriangularResonantMap) -> TriangularResonantMap:
         g_i = sigma.g[i - 1]
         # The recursion zeroes out slots i..n, so g_i must not touch them;
         # this re-derives the support restriction instead of trusting it.
-        for alpha in g_i.terms:
+        for alpha in g_i._num:
             assert all(
                 alpha[j] == 0 for j in range(n) if weights.m[j] >= weights.m[i - 1]
             ), f"component {i} uses a variable of weight >= {weights.m[i - 1]}"

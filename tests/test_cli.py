@@ -1,14 +1,18 @@
 import argparse
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from quasicirc import bergman, cli
+from quasicirc import WeightVector, bergman, cli, random_sigma
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -309,3 +313,128 @@ def shared_listings(rows):
 @given(int_rows() | JSON_VALUES | int_rows().map(shared_listings))
 def test_dumps_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+# fuzzing cli.run: small argv and file contents, malformed ones included.
+# Sizes are bounded so that every run is quick; resource budgets are not
+# covered here.
+
+
+def mostly(good, bad):
+    """good seven times in eight, bad otherwise (`one_of` would merge repeated branches)."""
+    return st.sampled_from([False] * 7 + [True]).flatmap(lambda odd: bad if odd else good)
+
+
+SMALL_INT = st.integers(-2, 6)
+VALID_WEIGHTS = st.lists(st.integers(1, 4), max_size=2).map(lambda rest: (1, *sorted(rest)))
+BAD_WEIGHT_TEXT = st.sampled_from(["", "a", "1,,2", "1.5", "0,1", "-1,2", "2,1", "2,4"])
+COEFF = st.sampled_from(["1", "-2", "1/3", "-3/2", "2/4"]) | SMALL_INT
+BAD_COEFF = st.sampled_from(["1/0", "x", "", True, 0.5, None, [1]])
+
+
+def poly_line(n):
+    """Terms in z1..zn joined by minus signs, or a malformed line."""
+    term = st.tuples(
+        st.sampled_from(["", "2 ", "1/3 ", "3/2*", "0 "]),
+        st.lists(st.tuples(st.integers(1, n), st.integers(0, 3)), max_size=2),
+    ).map(lambda t: t[0] + " ".join(f"z{j}^{e}" for j, e in t[1]) or "1")
+    return mostly(
+        st.lists(term, min_size=1, max_size=3).map(" - ".join),
+        st.sampled_from(["", "+", "z", "z1^", "3 $ z1", "z1 z2 -", "1/0 z1", "z9"]),
+    )
+
+
+def map_text(n):
+    """n lines: a diagonal linear map, or z_i plus random terms; or any lines."""
+    diagonal = st.tuples(*[st.sampled_from(["2", "1/3", "-3/2"]).map(lambda c, i=i: f"{c} z{i}")
+                           for i in range(1, n + 1)])
+    near_identity = st.tuples(*[poly_line(n).map(lambda line, i=i: f"z{i} + {line}")
+                                for i in range(1, n + 1)])
+    return mostly((diagonal | near_identity).map("\n".join),
+                  st.lists(poly_line(n), max_size=3).map("\n".join))
+
+
+def sigma_object(m):
+    """A sampled map for m, or an object of the same shape with any values, or any JSON."""
+    sampled = st.builds(lambda seed, pool: random_sigma(WeightVector(m), seed, pool).to_json_dict(),
+                        st.integers(0, 3), st.sampled_from([(1, 2), (Fraction(1, 3), Fraction(-3, 2))]))
+    exponent = st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(lambda a: ",".join(map(str, a)))
+    shaped = st.fixed_dictionaries({
+        "weights": st.lists(SMALL_INT | st.sampled_from([True, 1.5, "2"]), max_size=3),
+        "g": st.dictionaries(st.sampled_from(["1", "2", "3", "0", "x"]),
+                             st.dictionaries(exponent | st.sampled_from(["", "a"]), COEFF | BAD_COEFF),
+                             max_size=2),
+    })
+    return mostly(sampled, shaped | JSON_VALUES)
+
+
+def matrix(n):
+    square = st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=n, max_size=n)
+    return mostly(square, st.lists(st.lists(COEFF | BAD_COEFF, max_size=3), max_size=3))
+
+
+def json_file(content):
+    return mostly(content.map(json.dumps), st.sampled_from(["", "{", "[[1, 2]", "null", "\x00"]))
+
+
+FUZZ_COMMANDS = ("resonance", "partition", "sigma random", "sigma invert", "conjugate",
+                 "violate", "quasi-order", "solve", "bergman")
+
+
+@st.composite
+def cli_invocations(draw, command):
+    """(argv, {file name: content}) for one subcommand, flags sometimes missing or bad."""
+    m = draw(VALID_WEIGHTS)
+    weights = ["--weights", draw(mostly(st.just(",".join(map(str, m))), BAD_WEIGHT_TEXT))]
+    files = {
+        "map.txt": draw(map_text(len(m))),
+        "sigma.json": draw(json_file(sigma_object(m))),
+        "linear.json": draw(json_file(matrix(len(m)))),
+    }
+    seed = ["--seed", str(draw(SMALL_INT))]
+    trials = ["--trials", draw(mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "x"])))]
+    sigma_file = draw(mostly(st.just("sigma.json"), st.sampled_from(["linear.json", "missing.json"])))
+    linear_file = draw(mostly(st.just("linear.json"), st.sampled_from(["sigma.json", "missing.json"])))
+    options = {
+        "resonance": [*weights, *draw(st.sampled_from([[], ["--index", "1"], ["--index", "5"]]))],
+        "partition": weights,
+        "sigma random": [*weights, *seed, *draw(mostly(
+            st.sampled_from([[], ["--pool=1/3,-3/2"]]), st.sampled_from([["--pool="], ["--pool=x"]])))],
+        "sigma invert": ["--map", sigma_file],
+        "conjugate": [*weights, "--sigma", sigma_file, "--linear", linear_file],
+        "violate": [*weights, "--linear", linear_file, *trials, *seed],
+        "quasi-order": [*weights, *trials, *seed],
+        "solve": [*weights, "--map", draw(mostly(st.just("map.txt"), st.just("sigma.json")))],
+        "bergman": weights,
+    }
+    argv = command.split() + options[command]
+    if draw(st.sampled_from([False] * 5 + [True])):
+        # drop one flag with its value, or its value alone
+        flags = [i for i, tok in enumerate(argv) if tok.startswith("--") and "=" not in tok]
+        if flags:
+            i = draw(st.sampled_from(flags))
+            argv = argv[:i] + argv[i + draw(st.integers(1, 2)):]
+    return argv, files
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes_and_output(command, data):
+    argv, files = data.draw(cli_invocations(command))
+    with tempfile.TemporaryDirectory() as directory:
+        for name, content in files.items():
+            Path(directory, name).write_text(content, encoding="utf-8")
+        argv = [str(Path(directory, tok)) if tok in files or tok == "missing.json" else tok
+                for tok in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        payload = json.loads(out.getvalue())
+        assert ("error" in payload) == (code == 1)

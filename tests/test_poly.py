@@ -2,7 +2,7 @@ import inspect
 import random
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +112,109 @@ def test_ring_laws(triple):
 def test_negation_and_subtraction(p):
     assert p - p == Polynomial.zero(p.n)
     assert -(-p) == p
+
+
+# representation invariants: polynomials stay canonical whatever built them
+
+# ints, Fractions and unreduced "p/q" strings, as the constructor accepts them
+raw_coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.tuples(st.integers(-12, 12), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+def raw_terms(n):
+    return st.dictionaries(st.tuples(*([st.integers(0, 2)] * n)), raw_coefficients, max_size=4)
+
+
+def as_text(terms):
+    """The terms in the textual syntax, unreduced, with every exponent written out."""
+    pieces = []
+    for alpha, coeff in terms.items():
+        c = Fraction(coeff)
+        numerator, denominator = (coeff.split("/") if isinstance(coeff, str)
+                                  else (c.numerator, c.denominator))
+        sign = "-" if c < 0 else "+"
+        monomial = " ".join(f"z{j}^{e}" for j, e in enumerate(alpha, start=1))
+        pieces.append(f"{sign} {abs(int(numerator))}/{denominator} {monomial}")
+    return " ".join(pieces) or "0"
+
+
+def built_polynomials(n):
+    """Polynomials made by the constructor, the parser, products, sums and negation."""
+    leaves = st.one_of(
+        raw_terms(n).map(lambda terms: Polynomial(n, terms)),
+        raw_terms(n).map(lambda terms: parse_polynomial(as_text(terms), n)),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda pq: pq[0] * pq[1]),
+            st.tuples(inner, inner).map(lambda pq: pq[0] + pq[1]),
+            st.tuples(inner, inner).map(lambda pq: pq[0] - pq[1]),
+            inner.map(lambda p: -p),
+        ),
+        max_leaves=4,
+    )
+
+
+def rebuilt(p):
+    """p made again by other routes, each equal to p."""
+    half, z1 = Fraction(1, 2), var(p.n, 1)
+    return [
+        Polynomial(p.n, dict(p.terms)),
+        Polynomial(p.n, {alpha: str(c) for alpha, c in p.terms.items()}),
+        parse_polynomial(format_polynomial(p), p.n),
+        -(-p),
+        (p * 2) * half,
+        (p + half) - half,
+        (p * (half * z1)) * 0 + p,
+        (p * (half * z1)).derivative(1) * 2 - z1 * p.derivative(1),
+    ]
+
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    absent = (99,) * p.n
+    assert absent not in p.terms
+    assert type(p.coefficient(absent)) is Fraction and p.coefficient(absent) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(built_polynomials(n), built_polynomials(n))))
+def test_equality_is_equality_of_term_maps(pair):
+    p, q = pair
+    assert (p == q) == (dict(p.terms) == dict(q.terms))
+    if p == q:
+        assert hash(p) == hash(q)
+    for other in rebuilt(p):
+        assert_canonical(other)
+        assert other == p and hash(other) == hash(p)
+        assert dict(other.terms) == dict(p.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(built_polynomials))
+def test_built_polynomials_are_canonical(p):
+    assert_canonical(p)
+
+
+def test_cancellation_to_integers_and_zero():
+    z1 = var(1, 1)
+    half = Fraction(1, 2) * z1
+    for p, expected in [
+        (half * (2 * z1), z1**2),
+        (half + half, z1),
+        (half - Polynomial(1, {(1,): "2/4"}), Polynomial.zero(1)),
+        (parse_polynomial("1/3 z1 + 2/3 z1 - 3/3", 1), z1 - 1),
+        (-(Fraction(-3, 2) * z1) * Fraction(2, 3), z1),
+    ]:
+        assert p == expected and hash(p) == hash(expected)
+        assert dict(p.terms) == dict(expected.terms)
+        assert all(type(c) is Fraction for c in p.terms.values())
 
 
 # the integer product kernel against the schoolbook Fraction product
