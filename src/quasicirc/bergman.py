@@ -135,7 +135,7 @@ def check_sigma_jacobian_structure(sigma: TriangularResonantMap) -> JacobianStru
                     )
                 continue
             allowed = set(admissible_exponents(weights, i, j))
-            for alpha in entry._num:
+            for alpha in entry.exponents():
                 if alpha not in allowed:
                     violations.append(
                         f"entry ({i}, {j}) carries inadmissible exponent {alpha}"

@@ -27,7 +27,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -38,9 +37,8 @@ from .errors import (
     SingularLinearPart,
     WeightMismatch,
 )
-from .intpoly import evaluate
 from .linalg import LinearMap, solve_exact
-from .poly import Polynomial, PolyMap
+from .poly import Polynomial, PolyMap, _evaluate_at
 from .resonant import (
     DEFAULT_POOL,
     TriangularResonantMap,
@@ -160,7 +158,7 @@ def find_violation(
     mu = resonance_profile(weights).order
     for trial in range(trials):
         candidate = random_sigma(weights, _subseed(seed, trial), pool)
-        if conjugate(candidate, linear).total_degree() > mu:
+        if _conjugate(candidate, linear).total_degree() > mu:
             return candidate
     return None
 
@@ -193,7 +191,7 @@ def quasi_resonance_estimate(
     for trial in range(trials):
         sigma = random_sigma(weights, _subseed(seed, 2 * trial), pool)
         linear = random_linear_map(weights.n, _subseed(seed, 2 * trial + 1), pool)
-        observed = max(observed, conjugate(sigma, linear).total_degree())
+        observed = max(observed, _conjugate(sigma, linear).total_degree())
     return QuasiResonanceEstimate(observed_max=observed, cap=mu * mu, trials=trials)
 
 
@@ -339,25 +337,22 @@ def _point_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
     coordinates in [-1000, 1000].
     """
     n = f.n
+    monomials = [Polynomial.monomial(n, alpha) for _, alpha in unknowns]
     rng = random.Random(12345)
     rows: List[List[Fraction]] = []
     rhs: List[Fraction] = []
     for _ in range(_point_count(j_matrix, unknowns)):
         point = [rng.randint(-1000, 1000) for _ in range(n)]
-        powers: Dict = {}
-        image = [evaluate(p._num, p._den, point, 1, powers) for p in f.components]
-        den = lcm(*(v.denominator for v in image))
-        image_num = [v.numerator * (den // v.denominator) for v in image]
-        image_powers: Dict = {}
-        at_image = [evaluate({alpha: 1}, 1, image_num, den, image_powers) for _, alpha in unknowns]
-        at_point = [evaluate({alpha: 1}, 1, point, 1, powers) for _, alpha in unknowns]
+        # f_1(p), ..., f_n(p), then p^alpha_k for each unknown
+        values = _evaluate_at([*f.components, *monomials], point)
+        at_image = _evaluate_at(monomials, values[:n])
         for i in range(1, n + 1):
             j_row = j_matrix.rows[i - 1]
             rows.append([
                 (value if comp == i else 0) - j_row[comp - 1] * plain
-                for (comp, _), value, plain in zip(unknowns, at_image, at_point)
+                for (comp, _), value, plain in zip(unknowns, at_image, values[n:])
             ])
-            rhs.append(sum(map(operator.mul, j_row, point)) - image[i - 1])
+            rhs.append(sum(map(operator.mul, j_row, point)) - values[i - 1])
     return rows, rhs
 
 

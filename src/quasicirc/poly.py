@@ -11,10 +11,12 @@ denominator and all numerators is 1, so equality and hashing compare ints.
 All arithmetic is exact; floats are rejected at the boundary.
 
 Products (`*` and inside `substitute`) run on `intpoly.sum_of_products`,
-which takes and returns this form; `evaluate` runs on `intpoly.evaluate`.
-`terms` is a read-only Fraction view, built on first use and kept; every
-public result still gives Fractions, and the package's other modules read
-`_num` over `_den` directly.
+which takes and returns this form; values at a point run on
+`intpoly.evaluate` through `_evaluate_at`.  `terms` is a read-only Fraction
+view, built on first use and kept; `exponents()` lists the stored exponents
+without it.  Every public result still gives Fractions.  Only this module
+and `intpoly` know the storage: the package's other modules go through
+`exponents()`, `terms` and `_evaluate_at`.
 
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, whitespace-insensitive, with exact rational literals
@@ -27,7 +29,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, KeysView, List, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, DoesNotFixOrigin, IndexOutOfRange, ParseError
 from .intpoly import evaluate as evaluate_terms, sum_of_products
@@ -108,6 +110,10 @@ class Polynomial:
             den = self._den
             self._terms = {alpha: Fraction(c, den) for alpha, c in self._num.items()}
         return MappingProxyType(self._terms)
+
+    def exponents(self) -> KeysView:
+        """The exponents of the stored terms, without building coefficients."""
+        return self._num.keys()
 
     def coefficient(self, alpha: Sequence[int]) -> Fraction:
         return Fraction(self._num.get(tuple(alpha), 0), self._den)
@@ -228,11 +234,7 @@ class Polynomial:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point, put over one common denominator."""
-        values = [as_fraction(v) for v in point]
-        if len(values) != self.n:
-            raise DimensionMismatch(f"point has length {len(values)}, expected {self.n}")
-        numerators, den = _over_lcm(dict(enumerate(values)))
-        return evaluate_terms(self._num, self._den, [*numerators.values()], den, {})
+        return _evaluate_at([self], point)[0]
 
     __call__ = evaluate
 
@@ -292,6 +294,22 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n}, {self!s})"
+
+
+def _evaluate_at(polys: Sequence[Polynomial], point: Sequence) -> List[Fraction]:
+    """Exact values of several polynomials at one rational point.
+
+    The coordinates are put over one common denominator once, and the
+    polynomials share one power cache, so each power of a coordinate is
+    taken once for all of them.
+    """
+    values = [as_fraction(v) for v in point]
+    for p in polys:
+        if len(values) != p.n:
+            raise DimensionMismatch(f"point has length {len(values)}, expected {p.n}")
+    numerators, den = _over_lcm(dict(enumerate(values)))
+    coordinates, powers = [*numerators.values()], {}
+    return [evaluate_terms(p._num, p._den, coordinates, den, powers) for p in polys]
 
 
 class PolyMap:

@@ -97,7 +97,7 @@ class TriangularResonantMap:
                 raise DimensionMismatch(
                     f"component {i} lives in {part.n} variables, expected {self.weight.n}"
                 )
-            for alpha in part._num:
+            for alpha in part.exponents():
                 _validate_part(self.weight, i, alpha)
         object.__setattr__(self, "g", g)
 
@@ -202,11 +202,11 @@ def random_sigma(
     """
     choices = pool_choices(pool)
     rng = random.Random(seed)
-    coeffs = {}
+    parts = []
     for i in range(1, weights.n + 1):
-        for alpha in nonlinear_resonant_monomials(weights, i):
-            coeffs[(i, alpha)] = rng.choice(choices)
-    return make_sigma(weights, coeffs)
+        monomials = nonlinear_resonant_monomials(weights, i)
+        parts.append(Polynomial(weights.n, {alpha: rng.choice(choices) for alpha in monomials}))
+    return TriangularResonantMap(weights, tuple(parts))
 
 
 def invert_sigma(sigma: TriangularResonantMap) -> TriangularResonantMap:
@@ -233,7 +233,7 @@ def invert_sigma(sigma: TriangularResonantMap) -> TriangularResonantMap:
         g_i = sigma.g[i - 1]
         # The recursion zeroes out slots i..n, so g_i must not touch them;
         # this re-derives the support restriction instead of trusting it.
-        for alpha in g_i._num:
+        for alpha in g_i.exponents():
             assert all(
                 alpha[j] == 0 for j in range(n) if weights.m[j] >= weights.m[i - 1]
             ), f"component {i} uses a variable of weight >= {weights.m[i - 1]}"

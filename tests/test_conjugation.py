@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,21 @@ def test_find_violation_rejects_block_diagonal():
 def test_find_violation_absent_when_sigma_forced_identity():
     w = WeightVector((2, 3))
     assert find_violation(w, OFFBLOCK, trials=16, seed=1) is None
+
+
+def test_find_violation_takes_the_determinant_once(monkeypatch):
+    # the search checks L once up front; the per-trial conjugations skip it
+    calls = []
+    determinant = LinearMap.determinant
+
+    def counted(self):
+        calls.append(self)
+        return determinant(self)
+
+    monkeypatch.setattr(LinearMap, "determinant", counted)
+    rows = json.loads((Path(__file__).parent / "data" / "linear_offblock.json").read_text())
+    assert find_violation(W12, LinearMap.from_string_rows(rows), trials=8, seed=3) is not None
+    assert len(calls) == 1
 
 
 def test_find_violation_validates_input():

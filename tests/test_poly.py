@@ -20,6 +20,7 @@ from quasicirc import (
     parse_poly_map,
     parse_polynomial,
 )
+from quasicirc.poly import _evaluate_at
 from oracles import (
     random_poly_map,
     schoolbook_evaluate,
@@ -200,6 +201,7 @@ def test_equality_is_equality_of_term_maps(pair):
 @given(st.integers(1, 3).flatmap(built_polynomials))
 def test_built_polynomials_are_canonical(p):
     assert_canonical(p)
+    assert set(p.exponents()) == set(p.terms)
 
 
 def test_cancellation_to_integers_and_zero():
@@ -512,6 +514,10 @@ def test_evaluate_matches_schoolbook(case):
     p, point = case
     assert p.evaluate(point) == schoolbook_evaluate(p, point)
     assert p.evaluate([str(v) for v in point]) == schoolbook_evaluate(p, point)
+    # several polynomials with unlike denominators share one power cache
+    polys = [p, p * Fraction(2, 3) + Fraction(1, 5), p * p * Fraction(-5, 7), Polynomial.zero(p.n)]
+    for at in (point, [v.numerator for v in point]):
+        assert _evaluate_at(polys, at) == [schoolbook_evaluate(q, at) for q in polys]
 
 
 def test_derivative():
