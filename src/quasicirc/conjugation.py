@@ -27,6 +27,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -334,25 +335,32 @@ def _point_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
     At a point p, row i holds [comp_k == i] f(p)^alpha_k - J[i][comp_k] p^alpha_k
     for each unknown (comp_k, alpha_k), with right-hand side (J p)_i - f_i(p).
     The points are the same for every solve: a fresh seeded stream of integer
-    coordinates in [-1000, 1000].
+    coordinates in [-1000, 1000].  Each point's f(p), f(p)^alpha_k and J are
+    put over one positive denominator, so its rows are that multiple of these
+    rows, in integers; `solve_exact` scales every row to a primitive one.
     """
     n = f.n
     monomials = [Polynomial.monomial(n, alpha) for _, alpha in unknowns]
+    j_den = lcm(*(x.denominator for row in j_matrix.rows for x in row))
+    j_int = [[x.numerator * (j_den // x.denominator) for x in row] for row in j_matrix.rows]
     rng = random.Random(12345)
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
+    rows: List[List[int]] = []
+    rhs: List[int] = []
     for _ in range(_point_count(j_matrix, unknowns)):
         point = [rng.randint(-1000, 1000) for _ in range(n)]
-        # f_1(p), ..., f_n(p), then p^alpha_k for each unknown
+        # f_1(p), ..., f_n(p), then the integer p^alpha_k for each unknown
         values = _evaluate_at([*f.components, *monomials], point)
-        at_image = _evaluate_at(monomials, values[:n])
+        # f_1(p), ..., f_n(p), then f(p)^alpha_k, as numerators over den
+        image = values[:n] + _evaluate_at(monomials, values[:n])
+        den = lcm(j_den, *(v.denominator for v in image))
+        image = [v.numerator * (den // v.denominator) for v in image]
         for i in range(1, n + 1):
-            j_row = j_matrix.rows[i - 1]
+            j_row = [x * (den // j_den) for x in j_int[i - 1]]
             rows.append([
-                (value if comp == i else 0) - j_row[comp - 1] * plain
-                for (comp, _), value, plain in zip(unknowns, at_image, values[n:])
+                (value if comp == i else 0) - j_row[comp - 1] * plain.numerator
+                for (comp, _), value, plain in zip(unknowns, image[n:], values[n:])
             ])
-            rhs.append(sum(map(operator.mul, j_row, point)) - values[i - 1])
+            rhs.append(sum(map(operator.mul, j_row, point)) - image[i - 1])
     return rows, rhs
 
 

@@ -1,90 +1,149 @@
 """Integer kernel for products and values of sparse polynomials.
 
-Polynomials come as `Polynomial` stores them: term maps from exponent tuples
-to nonzero integer numerators over one positive denominator, canonical (the
-gcd of the denominator and all numerators is 1).  Fraction arithmetic takes
-a gcd on every `+` and `*`; the routines here take one per result.
+Polynomials come as `Polynomial` stores them: term maps from packed
+exponents to nonzero integer numerators over one positive denominator,
+canonical (the gcd of the denominator and all numerators is 1).  Fraction
+arithmetic takes a gcd on every `+` and `*`; the routines here take one per
+result.
 
-`sum_of_products` is the one product routine and makes no Fraction.  It
-packs every exponent tuple into one int (Kronecker packing with a
-per-operation bound, as in Monagan & Pearce, "Parallel sparse polynomial
-multiplication using heaps", ISSAC 2009).  `evaluate` is its counterpart for
-values at a point: one integer sum per term map, and one Fraction.
+An exponent tuple (a_1, ..., a_n) is packed into the int sum of
+a_j << (j - 1) w (Kronecker packing, as in Monagan & Pearce, "Parallel
+sparse polynomial multiplication using heaps", ISSAC 2009), and kept packed
+in storage, as FLINT's `fmpq_mpoly` keeps it.  The field width w is
+`width(n, D)`, a function of the dimension n and the total degree D alone:
+at least DIGIT_BITS // n, so that keys stay one CPython digit while the
+degree allows, and at least (D + 1).bit_length(), so that no term's degree
+reaches 2^w - 1.  So adding the keys of a product of degree at most D never
+carries from one field into the next, and a key mod 2^w - 1 is the sum of
+its fields, its term's total degree.  Since the width is canonical, equal
+polynomials have equal keys, and equality and hashing compare ints.  A
+result that lost its top degree to cancellation is narrowed back by
+`reduced`, which brings every result to canonical form.
+
+`sum_of_products` is the one product routine and makes no Fraction.
+`evaluate` is its counterpart for values at a point: one integer sum per
+term map, and one Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import lshift
+from operator import mul
 from typing import Dict
+
+#: bits in one CPython int digit; keys of at most this many bits are one digit
+DIGIT_BITS = 30
+
+
+def width(n: int, degree: int) -> int:
+    """The canonical field width of a polynomial in n variables of this degree."""
+    floor, bits = DIGIT_BITS // n, (degree + 1).bit_length()
+    return bits if bits > floor else floor
+
+
+def degree(num: Dict[int, int], w: int) -> int:
+    """Total degree of packed terms at width w, from each key mod 2^w - 1; 0 for no terms."""
+    return max(map(((1 << w) - 1).__rmod__, num), default=0)
+
+
+def unpack(num: Dict[int, int], n: int, w: int) -> Dict[tuple, int]:
+    """The terms keyed by exponent tuples, in the same order."""
+    mask, shifts = (1 << w) - 1, range(0, n * w, w)
+    return {tuple([key >> shift & mask for shift in shifts]): c for key, c in num.items()}
+
+
+def repack(num: Dict[int, int], n: int, old: int, new: int) -> Dict[int, int]:
+    """The terms with their keys moved from width old to width new."""
+    if old == new:
+        return num
+    mask, moves = (1 << old) - 1, [(j * old, j * new) for j in range(n)]
+    return {sum([(key >> a & mask) << b for a, b in moves]): c for key, c in num.items()}
+
+
+def reduced(n: int, num: Dict[int, int], den: int, w: int) -> tuple:
+    """(terms, d, w), canonical, for terms over den packed at a width w.
+
+    Zero terms are dropped, the gcd is divided out, and the width is
+    narrowed if the top degree cancelled.
+    """
+    g = gcd(den, *num.values())
+    num = {key: c // g for key, c in num.items() if c}
+    if w > DIGIT_BITS // n:
+        new = width(n, degree(num, w))
+        num, w = repack(num, n, w, new), new
+    return num, den // g, w
+
+
+def over_lcm(terms: Dict) -> tuple:
+    """Fractions as (integer numerators, lcm of denominators).
+
+    That is canonical without a gcd when no value is zero: a prime's top
+    power in the lcm divides some denominator, and so not its numerator.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
 
 
 def sum_of_products(n: int, products, den: int = 1) -> tuple:
-    """(terms, d), canonical, with terms / d == sum(c * f1 * ... * fk) / den.
+    """(terms, d, w), canonical, with terms / d == sum(c * f1 * ... * fk) / den.
 
-    Each product is (c, [f1, ..., fk]) with an integer c and each f a pair
-    (terms, d) in n variables; k may be 0, and an empty term map makes its
-    product vanish.  All products are put over one common denominator, and
-    every exponent tuple is packed into one int with `width` bits per
-    variable.  `width` holds the largest total degree any product reaches,
-    so adding two packed keys never carries from one field into the next.
-    The factors before the last are multiplied into a packed partial
-    product, and the last one streams into the accumulator.  Terms that
-    cancel are dropped, and one gcd brings the result to lowest terms.
+    Each product is (c, [f1, ..., fk]) with an integer c and each f a
+    `Polynomial` in n variables, read as its packed terms `_num` over `_den`
+    at width `_width`; k may be 0, and a zero factor makes its product
+    vanish.  All products are put over one common denominator and computed
+    at the width of the largest total degree any product reaches, so adding
+    two keys never carries from one field into the next; a factor stored
+    narrower is repacked to it.  The factors before the last are multiplied
+    into a packed partial product, and the last one streams into the
+    accumulator; the sum is then `reduced`.
     """
-    products = [(c, fs) for c, fs in products if all(terms for terms, _ in fs)]
+    products = [(c, fs) for c, fs in products if all(f._num for f in fs)]
     if not products:
         # substituting into a zero polynomial is common and needs no set-up
-        return {}, 1
-    width = max(sum(_degree(terms) for terms, _ in fs) for _, fs in products).bit_length() or 1
-    shifts = range(0, n * width, width)
-    scales = [prod(d for _, d in fs) for _, fs in products]
+        return {}, 1, width(n, 0)
+    w = width(n, max(sum(degree(f._num, f._width) for f in fs) for _, fs in products))
+    scales = [prod(f._den for f in fs) for _, fs in products]
     common = lcm(*scales)
     acc: Dict[int, int] = {}
     for (c, factors), scale in zip(products, scales):
-        packed = [_packed(terms, shifts) for terms, _ in factors]
+        packed = [
+            (f._num if f._width == w else repack(f._num, n, f._width, w)).items() for f in factors
+        ]
         # padded in front with the packed constant 1 to at least two factors
         partial, *middle, last = [[(0, 1)]] * (2 - len(packed)) + packed
         for right in middle:
             partial = _accumulate({}, partial, right, 1).items()
         _accumulate(acc, partial, last, c * (common // scale))
-    common *= den
-    g = gcd(common, *acc.values())
-    mask = (1 << width) - 1
-    return {
-        tuple([key >> shift & mask for shift in shifts]): num // g
-        for key, num in acc.items()
-        if num
-    }, common // g
+    return reduced(n, acc, common * den, w)
 
 
 def evaluate(terms: Dict, common: int, point, den: int, powers: Dict) -> Fraction:
     """Value of terms / common at the point (x_1/den, ..., x_n/den), on Python ints.
 
-    terms holds integer numerators and point the integers x_j.  Every term
-    is made homogeneous of the map's total degree D with a power of den, so
-    the value is one integer sum over (common * den^D).  `powers` caches
-    x_j^e under (j, e), and den^e under (n, e), for the exponents that
-    occur, each taken by repeated squaring; term maps evaluated at the same
-    point share it.
+    terms holds integer numerators keyed by exponent tuples, decoded once
+    per polynomial and not per point, and point the integers x_j.  Every
+    term is made homogeneous of the map's total degree D with a power of
+    den, so the value is one integer sum over (common * den^D).  The terms
+    are multiplied column by column, one variable at a time.  `powers`
+    caches x_j^e under (j, e), and den^e under (n, e), for the exponents
+    that occur, each taken by repeated squaring; term maps evaluated at the
+    same point share it.
     """
     if not terms:
         return Fraction(0)
-    top = _degree(terms)
-    bases = [*point, den]
-    total = 0
-    for alpha, num in terms.items():
-        if den != 1:
-            alpha = (*alpha, top - sum(alpha))
-        for key in enumerate(alpha):
-            if key[1]:
-                value = powers.get(key)
-                if value is None:
-                    value = powers[key] = bases[key[0]] ** key[1]
-                num *= value
-        total += num
-    return Fraction(total, common * den**top)
+    degrees = [*map(sum, terms)]
+    top = max(degrees)
+    columns = [*zip(*terms)] + ([[top - d for d in degrees]] if den != 1 else [])
+    bases, values = [*point, den], terms.values()
+    for j, column in enumerate(columns):
+        table = {}
+        for e in set(column):
+            if (j, e) not in powers:
+                powers[j, e] = bases[j] ** e
+            table[e] = powers[j, e]
+        values = map(mul, values, map(table.__getitem__, column))
+    return Fraction(sum(values), common * den**top)
 
 
 def _accumulate(acc: Dict[int, int], left, right, scale: int) -> Dict[int, int]:
@@ -96,12 +155,3 @@ def _accumulate(acc: Dict[int, int], left, right, scale: int) -> Dict[int, int]:
             key = ka + kb
             acc[key] = get(key, 0) + ca * cb
     return acc
-
-
-def _degree(terms: Dict) -> int:
-    return max(map(sum, terms))
-
-
-def _packed(terms: Dict, shifts: range) -> list:
-    """[(packed exponent, numerator)] for each term."""
-    return [(sum(map(lshift, alpha, shifts)), c) for alpha, c in terms.items()]

@@ -1,22 +1,30 @@
 """Sparse exact-rational multivariate polynomials and polynomial maps.
 
-A polynomial in n variables z1..zn is stored as a map from exponent tuples
+A polynomial in n variables z1..zn is stored as a map from packed exponents
 to nonzero integer numerators over one positive common denominator, as in
-FLINT's `fmpq_mpoly`:
+FLINT's `fmpq_mpoly`.  An exponent tuple is packed into one int with w bits
+per variable, w = `intpoly.width(n, total degree)` (see `intpoly`); for n = 3
+that is w = 10:
 
-    z1^2 * z3 + 3/2   ->   {(2, 0, 1): 2, (0, 0, 0): 3} over 2
+    z1^2 * z3 + 3/2   ->   {2 + (1 << 20): 2, 0: 3} over 2, at width 10
 
-The form is canonical: no zero numerator is stored, and the gcd of the
-denominator and all numerators is 1, so equality and hashing compare ints.
-All arithmetic is exact; floats are rejected at the boundary.
+The form is canonical: no zero numerator is stored, the gcd of the
+denominator and all numerators is 1, and the width is a function of n and
+the total degree alone, so equal polynomials have equal keys, and equality
+and hashing compare ints.  All arithmetic is exact; floats are rejected at
+the boundary.
 
 Products (`*` and inside `substitute`) run on `intpoly.sum_of_products`,
-which takes and returns this form; values at a point run on
-`intpoly.evaluate` through `_evaluate_at`.  `terms` is a read-only Fraction
-view, built on first use and kept; `exponents()` lists the stored exponents
-without it.  Every public result still gives Fractions.  Only this module
-and `intpoly` know the storage: the package's other modules go through
-`exponents()`, `terms` and `_evaluate_at`.
+which takes and returns this form.  Sums, negation, derivatives and the
+degree work on the packed keys, and repack them only when widths differ or
+a top degree cancelled; a one-term power raises its key as key * e.  The
+readers that need exponent tuples (`exponents()`, `terms`, `coefficient()`,
+the weighted-degree readers, `substitute`'s outer loop and values at a
+point through `_evaluate_at`) share one decode per polynomial, made on
+first use and kept.  `terms` is a read-only Fraction view built on it.
+Every public result still gives Fractions.  Only this module and `intpoly`
+know the storage: the package's other modules go through `exponents()`,
+`terms` and `_evaluate_at`.
 
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, whitespace-insensitive, with exact rational literals
@@ -27,65 +35,56 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+from operator import lshift
 from types import MappingProxyType
 from typing import Dict, KeysView, List, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, DoesNotFixOrigin, IndexOutOfRange, ParseError
-from .intpoly import evaluate as evaluate_terms, sum_of_products
+from .intpoly import degree, evaluate as evaluate_terms, over_lcm, reduced, repack
+from .intpoly import sum_of_products, unpack, width
 from .linalg import LinearMap, as_fraction
 from .weights import MultiIndex, WeightVector, weighted_degree
-
-
-def _over_lcm(terms: Mapping) -> tuple:
-    """Fractions as (integer numerators, lcm of denominators).
-
-    That is canonical without a gcd when no value is zero: a prime's top
-    power in the lcm divides some denominator, and so not its numerator.
-    """
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {alpha: c.numerator * (den // c.denominator) for alpha, c in terms.items()}, den
 
 
 class Polynomial:
     """An immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("n", "_num", "_den", "_terms")
+    __slots__ = ("n", "_num", "_den", "_width", "_exps", "_terms")
 
     def __init__(self, n: int, terms: Optional[Mapping] = None):
         if n < 1:
             raise ValueError("dimension must be at least 1")
         clean: Dict[MultiIndex, Fraction] = {}
         for alpha, coeff in (terms or {}).items():
-            alpha = tuple(int(a) for a in alpha)
+            alpha = tuple(map(int, alpha))
             if len(alpha) != n:
                 raise DimensionMismatch(
                     f"exponent {alpha} has length {len(alpha)}, expected {n}"
                 )
-            if any(a < 0 for a in alpha):
+            if min(alpha) < 0:
                 raise ValueError(f"exponents must be nonnegative, got {alpha}")
-            coeff = as_fraction(coeff)
+            # a Fraction is immutable and already exact, so it is kept as given
+            coeff = coeff if type(coeff) is Fraction else as_fraction(coeff)
             if coeff:
                 clean[alpha] = coeff
-        self.n, self._terms = n, clean
-        self._num, self._den = _over_lcm(clean)
+        w = width(n, max(map(sum, clean), default=0))
+        shifts = range(0, n * w, w)
+        exps, self._den = over_lcm(clean)
+        self.n, self._width, self._exps, self._terms = n, w, exps, clean
+        self._num = {sum(map(lshift, alpha, shifts)): c for alpha, c in exps.items()}
 
     @classmethod
-    def _from_ints(cls, n: int, num: Dict[MultiIndex, int], den: int) -> "Polynomial":
-        """Trusted constructor for internal use; num over den must be canonical."""
+    def _from_ints(cls, n: int, num: Dict[int, int], den: int, w: int) -> "Polynomial":
+        """Trusted constructor for internal use; num over den at width w must be canonical."""
         self = object.__new__(cls)
-        self.n, self._num, self._den, self._terms = n, num, den, None
+        self.n, self._num, self._den, self._width = n, num, den, w
+        self._exps = self._terms = None
         return self
 
     @classmethod
-    def _reduced(cls, n: int, num: Dict[MultiIndex, int], den: int) -> "Polynomial":
-        """Trusted constructor: drops zeros, divides out the gcd."""
-        g = gcd(den, *num.values())
-        return cls._from_ints(n, {a: c // g for a, c in num.items() if c}, den // g)
-
-    @classmethod
     def zero(cls, n: int) -> "Polynomial":
-        return cls._from_ints(n, {}, 1)
+        return cls._from_ints(n, {}, 1, width(n, 0))
 
     @classmethod
     def constant(cls, n: int, value) -> "Polynomial":
@@ -96,8 +95,8 @@ class Polynomial:
         """The polynomial z_j (1-based j)."""
         if not 1 <= j <= n:
             raise IndexOutOfRange(f"variable index {j} outside 1..{n}")
-        alpha = tuple(int(k == j - 1) for k in range(n))
-        return cls._from_ints(n, {alpha: 1}, 1)
+        w = width(n, 1)
+        return cls._from_ints(n, {1 << (j - 1) * w: 1}, 1, w)
 
     @classmethod
     def monomial(cls, n: int, alpha: Sequence[int], coeff=1) -> "Polynomial":
@@ -108,18 +107,24 @@ class Polynomial:
         """Read-only Fraction view of the term map."""
         if self._terms is None:
             den = self._den
-            self._terms = {alpha: Fraction(c, den) for alpha, c in self._num.items()}
+            self._terms = {alpha: Fraction(c, den) for alpha, c in self._decoded().items()}
         return MappingProxyType(self._terms)
+
+    def _decoded(self) -> Dict[MultiIndex, int]:
+        """The numerators keyed by exponent tuples, in key order; decoded once."""
+        if self._exps is None:
+            self._exps = unpack(self._num, self.n, self._width)
+        return self._exps
 
     def exponents(self) -> KeysView:
         """The exponents of the stored terms, without building coefficients."""
-        return self._num.keys()
+        return self._decoded().keys()
 
     def coefficient(self, alpha: Sequence[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(alpha), 0), self._den)
+        return Fraction(self._decoded().get(tuple(alpha), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.n)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -135,18 +140,24 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
+        n, w, num, other_num = self.n, self._width, self._num, other._num
+        if other._width != w:
+            w = max(w, other._width)
+            num, other_num = repack(num, n, self._width, w), repack(other_num, n, other._width, w)
         den = lcm(self._den, other._den)
         scale = den // self._den
-        out = {alpha: c * scale for alpha, c in self._num.items()}
+        out = {key: c * scale for key, c in num.items()}
         scale = den // other._den
-        for alpha, c in other._num.items():
-            out[alpha] = out.get(alpha, 0) + c * scale
-        return Polynomial._reduced(self.n, out, den)
+        for key, c in other_num.items():
+            out[key] = out.get(key, 0) + c * scale
+        return Polynomial._from_ints(n, *reduced(n, out, den, w))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._from_ints(self.n, {a: -c for a, c in self._num.items()}, self._den)
+        return Polynomial._from_ints(
+            self.n, {key: -c for key, c in self._num.items()}, self._den, self._width
+        )
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -156,8 +167,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        factors = [(self._num, self._den), (other._num, other._den)]
-        return Polynomial._from_ints(self.n, *sum_of_products(self.n, ((1, factors),)))
+        return Polynomial._from_ints(self.n, *sum_of_products(self.n, ((1, [self, other]),)))
 
     __rmul__ = __mul__
 
@@ -188,7 +198,7 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Max |alpha| over stored terms; 0 for the zero polynomial."""
-        return max(map(sum, self._num), default=0)
+        return degree(self._num, self._width)
 
     def is_m_homogeneous(self, weights: WeightVector, k: int) -> bool:
         """True iff every term has weighted degree m . alpha == k.
@@ -197,7 +207,7 @@ class Polynomial:
         """
         if weights.n != self.n:
             raise DimensionMismatch(f"dimensions differ: {self.n} vs {weights.n}")
-        return all(weighted_degree(weights.m, alpha) == k for alpha in self._num)
+        return all(weighted_degree(weights.m, alpha) == k for alpha in self._decoded())
 
     def is_i_resonant(self, weights: WeightVector, i: int) -> bool:
         """True iff the polynomial is m-homogeneous of order m_i."""
@@ -212,11 +222,11 @@ class Polynomial:
         """
         if weights.n != self.n:
             raise DimensionMismatch(f"dimensions differ: {self.n} vs {weights.n}")
-        buckets: Dict[int, Dict[MultiIndex, int]] = {}
-        for alpha, c in self._num.items():
-            buckets.setdefault(weighted_degree(weights.m, alpha), {})[alpha] = c
+        buckets: Dict[int, Dict[int, int]] = {}
+        for alpha, (key, c) in zip(self._decoded(), self._num.items()):
+            buckets.setdefault(weighted_degree(weights.m, alpha), {})[key] = c
         return {
-            k: Polynomial._reduced(self.n, part, self._den)
+            k: Polynomial._from_ints(self.n, *reduced(self.n, part, self._den, self._width))
             for k, part in sorted(buckets.items())
         }
 
@@ -225,12 +235,14 @@ class Polynomial:
         if not 1 <= j <= self.n:
             raise IndexOutOfRange(f"variable index {j} outside 1..{self.n}")
         # distinct exponents stay distinct, so no two terms meet
-        out: Dict[MultiIndex, int] = {}
-        for alpha, c in self._num.items():
-            e = alpha[j - 1]
+        w = self._width
+        shift, mask = (j - 1) * w, (1 << w) - 1
+        out: Dict[int, int] = {}
+        for key, c in self._num.items():
+            e = key >> shift & mask
             if e:
-                out[alpha[: j - 1] + (e - 1,) + alpha[j:]] = c * e
-        return Polynomial._reduced(self.n, out, self._den)
+                out[key - (1 << shift)] = c * e
+        return Polynomial._from_ints(self.n, *reduced(self.n, out, self._den, w))
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point, put over one common denominator."""
@@ -262,11 +274,12 @@ class Polynomial:
                 return cache[key]
             value = values[j]
             if len(value._num) < 2:
-                # zero, or one term whose power is one term: no steps at all
+                # zero, or one term whose power is one term: no steps at all,
+                # and at a width that holds the power, its key is key * e
+                w = width(target, value.total_degree() * e)
+                num = repack(value._num, target, value._width, w)
                 result = Polynomial._from_ints(
-                    target,
-                    {tuple(a * e for a in alpha): c**e for alpha, c in value._num.items()},
-                    value._den**e,
+                    target, {key * e: c**e for key, c in num.items()}, value._den**e, w
                 )
             else:
                 # stepped up from the highest cached power, caching every
@@ -283,10 +296,10 @@ class Polynomial:
             cache[key] = result
             return result
 
-        products = []
-        for alpha, c in self._num.items():
-            factors = [power(j, e) for j, e in enumerate(alpha) if e]
-            products.append((c, [(f._num, f._den) for f in factors]))
+        products = [
+            (c, [power(j, e) for j, e in enumerate(alpha) if e])
+            for alpha, c in self._decoded().items()
+        ]
         return Polynomial._from_ints(target, *sum_of_products(target, products, self._den))
 
     def __str__(self) -> str:
@@ -307,9 +320,9 @@ def _evaluate_at(polys: Sequence[Polynomial], point: Sequence) -> List[Fraction]
     for p in polys:
         if len(values) != p.n:
             raise DimensionMismatch(f"point has length {len(values)}, expected {p.n}")
-    numerators, den = _over_lcm(dict(enumerate(values)))
+    numerators, den = over_lcm(dict(enumerate(values)))
     coordinates, powers = [*numerators.values()], {}
-    return [evaluate_terms(p._num, p._den, coordinates, den, powers) for p in polys]
+    return [evaluate_terms(p._decoded(), p._den, coordinates, den, powers) for p in polys]
 
 
 class PolyMap:
@@ -326,8 +339,7 @@ class PolyMap:
             raise DimensionMismatch(
                 f"{n} components must each live in {n} variables"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "components", components)
+        self.n, self.components = n, components
 
     @classmethod
     def identity(cls, n: int) -> "PolyMap":
@@ -336,12 +348,10 @@ class PolyMap:
     @classmethod
     def from_linear(cls, linear: LinearMap) -> "PolyMap":
         """The linear map z -> A z as a polynomial map."""
-        n = linear.n
-        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-        return cls([
-            Polynomial._from_ints(n, *_over_lcm({u: x for u, x in zip(units, row) if x}))
-            for row in linear.rows
-        ])
+        n, w = linear.n, width(linear.n, 1)
+        rows = [over_lcm({1 << j * w: x for j, x in enumerate(row) if x}) for row in linear.rows]
+        # reduced gives an all-zero row the zero polynomial's width
+        return cls([Polynomial._from_ints(n, *reduced(n, num, den, w)) for num, den in rows])
 
     def component(self, i: int) -> Polynomial:
         """Component i (1-based)."""
@@ -370,11 +380,8 @@ class PolyMap:
         for i, p in enumerate(self.components, start=1):
             if p.constant_term():
                 raise DoesNotFixOrigin(f"component {i} has a constant term")
-            row = [0] * self.n
-            for alpha, c in p._num.items():
-                if sum(alpha) == 1:
-                    row[alpha.index(1)] = Fraction(c, p._den)
-            rows.append(tuple(row))
+            row = [p._num.get(1 << j * p._width, 0) for j in range(self.n)]
+            rows.append(tuple(Fraction(c, p._den) if c else 0 for c in row))
         return LinearMap(tuple(rows))
 
     def __eq__(self, other) -> bool:
@@ -447,15 +454,13 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
     def parse_term():
         coeff = None
         if peek() is not None and peek().isdigit():
-            numerator = take_int("number")
+            coeff = take_int("number")
             if peek() == "/":
                 take()
                 denominator = take_int("denominator")
                 if denominator == 0:
                     raise ParseError("zero denominator")
-                coeff = Fraction(numerator, denominator)
-            else:
-                coeff = numerator
+                coeff = Fraction(coeff, denominator)
             if peek() == "*":
                 take()
         exponents = [0] * n
@@ -485,11 +490,8 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         sign = -1 if take() == "-" else 1
     while True:
         alpha, coeff = parse_term()
-        acc = terms.get(alpha, 0) + sign * coeff
-        if acc:
-            terms[alpha] = acc
-        else:
-            terms.pop(alpha, None)
+        # a sum that cancels to zero is dropped by the constructor
+        terms[alpha] = terms.get(alpha, 0) + sign * coeff
         if peek() is None:
             break
         tok = take()
@@ -516,19 +518,10 @@ def format_polynomial(p: Polynomial) -> str:
     pieces = []
     for alpha in sorted(p.terms, key=_term_sort_key):
         coeff = p.terms[alpha]
-        factors = []
-        for j, e in enumerate(alpha, start=1):
-            if e == 1:
-                factors.append(f"z{j}")
-            elif e > 1:
-                factors.append(f"z{j}^{e}")
-        magnitude = abs(coeff)
-        if not factors:
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = " ".join(factors)
-        else:
-            body = f"{magnitude} " + " ".join(factors)
+        factors = [f"z{j}^{e}" if e > 1 else f"z{j}" for j, e in enumerate(alpha, start=1) if e]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        body = " ".join(factors)
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:

@@ -20,6 +20,7 @@ from quasicirc import (
     parse_poly_map,
     parse_polynomial,
 )
+from quasicirc.intpoly import width
 from quasicirc.poly import _evaluate_at
 from oracles import (
     random_poly_map,
@@ -179,6 +180,7 @@ def assert_canonical(p):
     for c in p.terms.values():
         assert type(c) is Fraction and c != 0
         assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    assert p._width == width(p.n, p.total_degree())
     absent = (99,) * p.n
     assert absent not in p.terms
     assert type(p.coefficient(absent)) is Fraction and p.coefficient(absent) == 0
@@ -296,6 +298,37 @@ def test_product_fills_every_packing_width(k):
     assert_exact_terms(p * q, schoolbook_product(p, q))
     assert (p * q).coefficient((2 ** (k + 1) - 1, 0, 0)) == 1
     assert (p * q).coefficient((0, 2 ** (k + 1) - 1, 0)) == Fraction(-1, 4)
+
+
+def assert_canonical_width(p):
+    assert p._width == width(p.n, p.total_degree())
+
+
+@pytest.mark.parametrize("n", [2, 16, 30])
+def test_packed_keys_never_alias_or_carry(n):
+    # 30 // n is the smallest field width: 15, 1 and 1 bits, so at n = 16 and
+    # n = 30 the widths below step at every degree 2**k - 1
+    z1, z2 = var(n, 1), var(n, 2)
+    unit = (0,) * (n - 2)
+    w = z2._width
+    assert z2.coefficient((1 << w, 0, *unit)) == 0
+    assert z2.coefficient((0, 1, *unit)) == 1
+    for p, q in [(z1**3, z1), (z1**7 + z2, z1 + z2**8), (z1**8 - z2**7, z1**7 * z2 + 1)]:
+        product = p * q
+        assert_exact_terms(product, schoolbook_product(p, q))
+        for r in (p, q, product):
+            assert_canonical_width(r)
+    # the top degree cancels: the width narrows back to z2's
+    difference = (z1**8 + z2) - z1**8
+    assert difference == z2 and hash(difference) == hash(z2)
+    assert difference._width == w
+    for e in (8, 7, 4):
+        derivative = (z1**e).derivative(1)
+        assert derivative == e * z1 ** (e - 1) and hash(derivative) == hash(e * z1 ** (e - 1))
+        assert_canonical_width(derivative)
+    # a one-term power in substitute raises its key as key * e
+    assert (z1**2).substitute([z1**4 * z2, *([z2] * (n - 1))]) == z1**8 * z2**2
+    assert_canonical_width((z1**2).substitute([z1**4 * z2, *([z2] * (n - 1))]))
 
 
 def test_product_cancelling_to_zero_terms():

@@ -5,8 +5,9 @@ absolute import of a module outside the standard library (`__future__` is
 allowed), on a float literal, and on a call of `float`.
 
 A second walk keeps `Polynomial`'s storage inside `poly` and `intpoly`:
-every other module fails on an attribute named `_num`, `_den` or `_terms`,
-and on an import from `intpoly`.
+every other module fails on an attribute named `_num`, `_den`, `_width`,
+`_exps` or `_terms` (the packed terms, their denominator and field width,
+and the two views decoded from them), and on an import from `intpoly`.
 """
 
 import ast
@@ -39,7 +40,7 @@ def violations(path):
 
 
 STORAGE_MODULES = {"poly.py", "intpoly.py"}
-STORAGE_ATTRIBUTES = {"_num", "_den", "_terms"}
+STORAGE_ATTRIBUTES = {"_num", "_den", "_width", "_exps", "_terms"}
 
 
 def storage_violations(path):
@@ -82,6 +83,8 @@ def test_storage_stays_in_poly(path):
     ("x = float(y)", "call of float"),
     ("terms = p._num", "use of _num"),
     ("p._den = 1", "use of _den"),
+    ("bits = p._width", "use of _width"),
+    ("exponents = p._exps", "use of _exps"),
     ("view = p._terms", "use of _terms"),
     ("from .intpoly import evaluate", "import from intpoly"),
     ("from . import intpoly", "import from intpoly"),
