@@ -203,9 +203,7 @@ MATRIX_DRAWS = 200
 def _draw_invertible(rng: random.Random, size: int, choices: tuple) -> LinearMap:
     """Resample size-by-size matrices from the choices until one is invertible."""
     for _ in range(MATRIX_DRAWS):
-        candidate = LinearMap(
-            tuple(tuple(rng.choice(choices) for _ in range(size)) for _ in range(size))
-        )
+        candidate = LinearMap([[rng.choice(choices) for _ in range(size)] for _ in range(size)])
         if candidate.determinant() != 0:
             return candidate
     raise SingularLinearMap(
@@ -232,15 +230,12 @@ def random_block_diagonal_map(
     """
     choices = pool_choices(pool)
     rng = random.Random(seed)
-    n = weights.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[Fraction(0)] * weights.n for _ in range(weights.n)]
     for start, end in block_partition(weights).blocks():
-        size = end - start + 1
-        block = _draw_invertible(rng, size, choices)
-        for bi in range(size):
-            for bj in range(size):
-                rows[start - 1 + bi][start - 1 + bj] = block.rows[bi][bj]
-    return LinearMap(tuple(tuple(row) for row in rows))
+        block = _draw_invertible(rng, end - start + 1, choices)
+        for row, block_row in zip(rows[start - 1 : end], block.rows):
+            row[start - 1 : end] = block_row
+    return LinearMap(rows)
 
 
 @dataclass(frozen=True)

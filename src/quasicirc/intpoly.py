@@ -68,7 +68,8 @@ def reduced(n: int, num: Dict[int, int], den: int, w: int) -> tuple:
     narrowed if the top degree cancelled.
     """
     g = gcd(den, *num.values())
-    num = {key: c // g for key, c in num.items() if c}
+    if g != 1 or 0 in num.values():
+        num = {key: c // g for key, c in num.items() if c}
     if w > DIGIT_BITS // n:
         new = width(n, degree(num, w))
         num, w = repack(num, n, w, new), new

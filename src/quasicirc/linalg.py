@@ -2,21 +2,20 @@
 
 Everything here takes and returns `fractions.Fraction`s; there are no
 tolerances anywhere, and singularity/inconsistency detection is exact.
+Both eliminations run on Python ints inside.
 
-`solve_exact` is the one linear solver: it eliminates on integers inside,
-and `LinearMap.inverse` solves for its columns with it.
-`LinearMap.determinant` is the only elimination left on Fractions.  It is
-the invertibility test before every conjugation and every sampled matrix,
-on matrices of size 1 to about 4, where one forward pass over Fractions is
-as short as an integer (Bareiss) version, which would first have to clear
-denominators.
+`solve_exact` is the one linear solver, and `LinearMap.inverse` solves for
+its columns with it.  `LinearMap.determinant` clears each row's
+denominators and runs Bareiss's fraction-free elimination (Math. Comp. 22,
+1968).  It is the invertibility test before every conjugation and every
+sampled matrix, on matrices of size 1 to about 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import SingularLinearMap
@@ -25,8 +24,11 @@ from .errors import SingularLinearMap
 def as_fraction(value) -> Fraction:
     """Promote an exact rational literal (int, Fraction, or 'p/q' string).
 
+    A Fraction is immutable and already exact, so it is returned as given.
     Floats are rejected: they would silently break the exactness contract.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"exact rational required, got float {value!r}")
     return Fraction(value)
@@ -68,23 +70,21 @@ class LinearMap:
         )
 
     def determinant(self) -> Fraction:
-        a = [list(row) for row in self.rows]
-        n = self.n
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
+        """Bareiss elimination on the rows, each scaled by the lcm of its denominators."""
+        dens = [lcm(*(x.denominator for x in row)) for row in self.rows]
+        rows = [[x.numerator * (d // x.denominator) for x in r] for r, d in zip(self.rows, dens)]
+        sign, prev = 1, 1
+        while len(rows) > 1:
+            # pivot on the first nonzero leading entry, then drop its row and column
+            k = next((k for k, r in enumerate(rows) if r[0]), None)
+            if k is None:
                 return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    factor = a[r][col] * inv
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-        return det
+            if k:
+                rows[0], rows[k], sign = rows[k], rows[0], -sign
+            (p, *pivot), *rest = rows
+            rows = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], pivot)] for r in rest]
+            prev = p
+        return Fraction(sign * rows[0][0], prod(dens))
 
     def inverse(self) -> "LinearMap":
         """The inverse matrix; column j solves A x = e_j with `solve_exact`.

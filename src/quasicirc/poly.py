@@ -64,8 +64,7 @@ class Polynomial:
                 )
             if min(alpha) < 0:
                 raise ValueError(f"exponents must be nonnegative, got {alpha}")
-            # a Fraction is immutable and already exact, so it is kept as given
-            coeff = coeff if type(coeff) is Fraction else as_fraction(coeff)
+            coeff = as_fraction(coeff)
             if coeff:
                 clean[alpha] = coeff
         w = width(n, max(map(sum, clean), default=0))
@@ -146,7 +145,7 @@ class Polynomial:
             num, other_num = repack(num, n, self._width, w), repack(other_num, n, other._width, w)
         den = lcm(self._den, other._den)
         scale = den // self._den
-        out = {key: c * scale for key, c in num.items()}
+        out = dict(num) if scale == 1 else {key: c * scale for key, c in num.items()}
         scale = den // other._den
         for key, c in other_num.items():
             out[key] = out.get(key, 0) + c * scale

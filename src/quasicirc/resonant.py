@@ -48,12 +48,17 @@ def pool_choices(pool: Sequence) -> tuple:
     """The pool as exact rationals, deduplicated and sorted; rejects an empty pool.
 
     Every sampler draws from this tuple, so a pool given as a set or with
-    repeats samples the same as its sorted distinct values.
+    repeats samples the same as its sorted distinct values; DEFAULT_POOL's is built at import.
     """
+    if pool is DEFAULT_POOL:
+        return _DEFAULT_CHOICES
     choices = tuple(sorted({as_fraction(x) for x in pool}))
     if not choices:
         raise EmptyPool("coefficient pool must be nonempty")
     return choices
+
+
+_DEFAULT_CHOICES = pool_choices(list(DEFAULT_POOL))  # a copy, so it is normalised
 
 
 def nonlinear_resonant_monomials(weights: WeightVector, i: int) -> Tuple[MultiIndex, ...]:

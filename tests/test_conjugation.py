@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import quasicirc.conjugation
 from quasicirc import (
     BlockDiagonalInput,
+    DEFAULT_POOL,
     DimensionMismatch,
     DoesNotFixOrigin,
     LinearMap,
@@ -32,6 +34,7 @@ from quasicirc import (
     solve_conjugacy,
     solve_exact,
 )
+from quasicirc.resonant import pool_choices
 from oracles import WEIGHT_SET
 
 
@@ -293,6 +296,28 @@ def test_sampler_draw_sequences_are_pinned():
     assert random_block_diagonal_map(w, 4, pool=(0, 1)).to_string_rows() == [
         ["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1"],
     ]
+
+
+def test_default_pool_samples_as_its_copies():
+    # DEFAULT_POOL's choices are prepared once, at import; a copy, a set and a
+    # list with repeats and other spellings go through the general normaliser
+    copies = [
+        list(DEFAULT_POOL),
+        set(DEFAULT_POOL),
+        [*DEFAULT_POOL[::-1], *DEFAULT_POOL, "1/2", -2, Fraction(4, 2)],
+    ]
+    for pool in copies:
+        assert pool_choices(pool) == pool_choices(DEFAULT_POOL)
+    for m in WEIGHT_SET:
+        w = WeightVector(m)
+        for seed in range(3):
+            sigma = random_sigma(w, seed)
+            linear = random_linear_map(w.n, seed)
+            block = random_block_diagonal_map(w, seed)
+            for pool in copies:
+                assert random_sigma(w, seed, pool) == sigma
+                assert random_linear_map(w.n, seed, pool) == linear
+                assert random_block_diagonal_map(w, seed, pool) == block
 
 
 def test_samplers_give_up_on_a_singular_pool():

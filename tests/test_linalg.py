@@ -1,5 +1,6 @@
 """solve_exact against sympy's exact RREF and an exact check that A x = b,
-and LinearMap.inverse, which solves for its columns with it, against sympy's inv.
+LinearMap.inverse, which solves for its columns with it, against sympy's inv,
+and LinearMap.determinant against sympy's det.
 
 sympy is only a test-time reference; the library itself stays stdlib-only.
 """
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasicirc import LinearMap, SingularLinearMap, random_linear_map, solve_exact
+from quasicirc.linalg import as_fraction
 
 
 def rref_reference(rows, rhs, n_cols):
@@ -163,3 +165,78 @@ def test_inverse_matches_sympy(n):
 def test_inverse_of_singular_matrix_raises(rows):
     with pytest.raises(SingularLinearMap):
         LinearMap(rows).inverse()
+
+
+# LinearMap.determinant
+
+
+def check_determinant(rows):
+    sympy = pytest.importorskip("sympy")
+    matrix = LinearMap(rows)
+    reference = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix.rows]
+    ).det()
+    det = matrix.determinant()
+    assert type(det) is Fraction
+    assert det == Fraction(int(reference.p), int(reference.q))
+    return det
+
+
+#: few distinct values, zero weighted up, so that draws repeat: singular
+#: matrices and zero leading pivots that force a row swap are common
+det_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2, 3)]),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return [draw(st.lists(det_entries, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_determinant_matches_sympy(rows):
+    check_determinant(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, det",
+    [
+        (((0, 1, 2), (0, 3, 4), (0, 5, 6)), 0),
+        (((0, 1), (1, 0)), -1),
+        (((1, 1, 0), (1, 1, 1), (0, 1, 1)), -1),
+        ((("1/2", "1/3"), ("1/5", "1/7")), Fraction(1, 14) - Fraction(1, 15)),
+        ((("-3/4",),), Fraction(-3, 4)),
+        (((0,),), 0),
+    ],
+    ids=["zero_first_column", "swap_2x2", "swap_in_second_step", "row_denominators",
+         "1x1", "zero_1x1"],
+)
+def test_determinant_directed_cases(rows, det):
+    assert check_determinant(rows) == det
+
+
+# as_fraction
+
+
+def test_as_fraction_returns_a_fraction_as_given():
+    x = Fraction(-3, 4)
+    assert as_fraction(x) is x
+
+
+def test_as_fraction_makes_a_fraction_subclass_plain():
+    class Tagged(Fraction):
+        pass
+
+    x = as_fraction(Tagged(3, 4))
+    assert type(x) is Fraction and x == Fraction(3, 4)
+    assert all(type(v) is Fraction for row in LinearMap(((Tagged(1, 2),),)).rows for v in row)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, float("nan")])
+def test_as_fraction_rejects_floats(value):
+    with pytest.raises(TypeError):
+        as_fraction(value)
