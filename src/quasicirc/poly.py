@@ -27,8 +27,8 @@ know the storage: the package's other modules go through `exponents()`,
 `terms` and `_evaluate_at`.
 
 The module also owns the textual syntax shared with the CLI: terms like
-`3/2 z1^2 z3 - z2 + 1`, whitespace-insensitive, with exact rational literals
-`p/q`.
+`3/2 z1^2 z3 - z2 + 1`, with exact rational literals `p/q`.  The syntax is
+regular: whitespace may sit between any two tokens but ends a numeral.
 """
 
 from __future__ import annotations
@@ -403,106 +403,62 @@ class PolyMap:
 
 # textual syntax ------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[z^/+\-*])")
+# A sign may lead the first term and must separate every later pair; a term
+# is an optional coefficient p or p/q, then factors z j or z j^e, and a `*`
+# may follow the coefficient and each factor.  The factor pattern reads the
+# factors back out of a matched term.  Each token takes the whitespace after
+# it, so no pattern backtracks over a run of whitespace.
+_SIGN = re.compile(r"\s*([+-]?)\s*")
+_TERM = re.compile(
+    r"(?:(\d+)\s*(?:/\s*(\d+)\s*)?(?:\*\s*)?)?"
+    r"((?:z\s*\d+\s*(?:\^\s*\d+\s*)?(?:\*\s*)?)*)"
+)
+_FACTOR = re.compile(r"z\s*(\d+)\s*(?:\^\s*(\d+))?")
 
 
-def _tokenize(text: str):
-    # whitespace between tokens is insignificant, but it does end a numeral
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip():
-                raise ParseError(
-                    f"unexpected character {text[pos:].lstrip()[0]!r} in polynomial"
-                )
-            break
-        tokens.append(match.group(1))
-        pos = match.end()
-    return tokens
+def _numeral(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(f"numeral of {len(digits)} digits is too long") from None
 
 
 def parse_polynomial(text: str, n: int) -> Polynomial:
     """Parse the textual syntax, e.g. `3/2 z1^2 z3 - z2 + 1`.
 
-    Whitespace is ignored entirely; `*` between factors is optional; rational
-    literals are `p` or `p/q`.  Variables are z1..zn and must stay within the
+    `*` between factors is optional; rational literals are `p` or `p/q`.
+    Whitespace may sit between any two tokens but ends a numeral, so `z1 2`
+    is an error, not z12.  Variables are z1..zn and must stay within the
     ambient dimension n.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial")
+    terms: Dict[MultiIndex, Fraction] = {}
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def take_int(what: str) -> int:
-        tok = peek()
-        if tok is None or not tok.isdigit():
-            raise ParseError(f"expected {what}, got {tok!r}")
-        return int(take())
-
-    def parse_term():
-        coeff = None
-        if peek() is not None and peek().isdigit():
-            coeff = take_int("number")
-            if peek() == "/":
-                take()
-                denominator = take_int("denominator")
-                if denominator == 0:
-                    raise ParseError("zero denominator")
-                coeff = Fraction(coeff, denominator)
-            if peek() == "*":
-                take()
+    while True:
+        sign = _SIGN.match(text, pos)
+        if pos and not sign[1]:
+            raise ParseError(f"expected '+' or '-' at column {pos + 1}")
+        term = _TERM.match(text, sign.end())
+        numerator, denominator, factors = term.groups()
+        if numerator is None and not factors:
+            raise ParseError(f"expected a term at column {term.end() + 1}")
+        coeff = 1 if numerator is None else _numeral(numerator)
+        if denominator is not None:
+            denominator = _numeral(denominator)
+            if denominator == 0:
+                raise ParseError("zero denominator")
+            coeff = Fraction(coeff, denominator)
         exponents = [0] * n
-        saw_var = False
-        while peek() == "z":
-            take()
-            j = take_int("variable index")
+        for j, e in _FACTOR.findall(factors):
+            j = _numeral(j)
             if not 1 <= j <= n:
                 raise ParseError(f"variable z{j} out of range for dimension {n}")
-            e = 1
-            if peek() == "^":
-                take()
-                e = take_int("exponent")
-            exponents[j - 1] += e
-            saw_var = True
-            if peek() == "*":
-                take()
-        if coeff is None and not saw_var:
-            raise ParseError(f"expected a term, got {peek()!r}")
-        if coeff is None:
-            coeff = 1
-        return tuple(exponents), coeff
-
-    terms: Dict[MultiIndex, Fraction] = {}
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    while True:
-        alpha, coeff = parse_term()
+            exponents[j - 1] += _numeral(e) if e else 1
+        alpha = tuple(exponents)
         # a sum that cancels to zero is dropped by the constructor
-        terms[alpha] = terms.get(alpha, 0) + sign * coeff
-        if peek() is None:
-            break
-        tok = take()
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        else:
-            raise ParseError(f"expected '+' or '-', got {tok!r}")
-        if peek() is None:
-            raise ParseError("dangling sign at end of polynomial")
-    return Polynomial(n, terms)
+        terms[alpha] = terms.get(alpha, 0) + (-coeff if sign[1] == "-" else coeff)
+        pos = term.end()
+        if pos == len(text):
+            return Polynomial(n, terms)
 
 
 def _term_sort_key(alpha: MultiIndex):

@@ -8,11 +8,14 @@ inversion) so the tests never check an implementation against itself.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
+from typing import Dict
 
-from quasicirc import Polynomial, PolyMap, WeightVector
+from quasicirc import ParseError, Polynomial, PolyMap, WeightVector
+from quasicirc.weights import MultiIndex
 
 # the fixed weight-vector set used by map-level property and acceptance tests
 WEIGHT_SET = (
@@ -165,3 +168,109 @@ def schoolbook_evaluate(p: Polynomial, point) -> Fraction:
                 term *= value
         total += term
     return total
+
+
+# the textual syntax read by a hand tokenizer and a recursive-descent parser,
+# the library's parser before it became one regular grammar; the reference
+# for the differential test in test_poly.py
+
+_TOKEN = re.compile(r"\s*(\d+|[z^/+\-*])")
+
+
+def _tokenize(text: str):
+    # whitespace between tokens is insignificant, but it does end a numeral
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            if text[pos:].strip():
+                raise ParseError(
+                    f"unexpected character {text[pos:].lstrip()[0]!r} in polynomial"
+                )
+            break
+        tokens.append(match.group(1))
+        pos = match.end()
+    return tokens
+
+
+def reference_parse_polynomial(text: str, n: int) -> Polynomial:
+    """Parse the textual syntax, e.g. `3/2 z1^2 z3 - z2 + 1`.
+
+    Whitespace is ignored entirely; `*` between factors is optional; rational
+    literals are `p` or `p/q`.  Variables are z1..zn and must stay within the
+    ambient dimension n.
+    """
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def take_int(what: str) -> int:
+        tok = peek()
+        if tok is None or not tok.isdigit():
+            raise ParseError(f"expected {what}, got {tok!r}")
+        return int(take())
+
+    def parse_term():
+        coeff = None
+        if peek() is not None and peek().isdigit():
+            coeff = take_int("number")
+            if peek() == "/":
+                take()
+                denominator = take_int("denominator")
+                if denominator == 0:
+                    raise ParseError("zero denominator")
+                coeff = Fraction(coeff, denominator)
+            if peek() == "*":
+                take()
+        exponents = [0] * n
+        saw_var = False
+        while peek() == "z":
+            take()
+            j = take_int("variable index")
+            if not 1 <= j <= n:
+                raise ParseError(f"variable z{j} out of range for dimension {n}")
+            e = 1
+            if peek() == "^":
+                take()
+                e = take_int("exponent")
+            exponents[j - 1] += e
+            saw_var = True
+            if peek() == "*":
+                take()
+        if coeff is None and not saw_var:
+            raise ParseError(f"expected a term, got {peek()!r}")
+        if coeff is None:
+            coeff = 1
+        return tuple(exponents), coeff
+
+    terms: Dict[MultiIndex, Fraction] = {}
+    sign = 1
+    if peek() in ("+", "-"):
+        sign = -1 if take() == "-" else 1
+    while True:
+        alpha, coeff = parse_term()
+        # a sum that cancels to zero is dropped by the constructor
+        terms[alpha] = terms.get(alpha, 0) + sign * coeff
+        if peek() is None:
+            break
+        tok = take()
+        if tok == "+":
+            sign = 1
+        elif tok == "-":
+            sign = -1
+        else:
+            raise ParseError(f"expected '+' or '-', got {tok!r}")
+        if peek() is None:
+            raise ParseError("dangling sign at end of polynomial")
+    return Polynomial(n, terms)

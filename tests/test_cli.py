@@ -163,6 +163,16 @@ def test_malformed_files_exit_two(capsys):
     assert code == 2 and not out and err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no limit on int-string conversion")
+def test_overlong_numeral_in_map_exits_two(capsys, tmp_path):
+    path = tmp_path / "map.txt"
+    path.write_text("1" * (sys.get_int_max_str_digits() + 1) + " z1\nz2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--weights", "1,2", "--map", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 MALFORMED_VALUE_CASES = [
     ("sigma_zero_denominator", "sigma", {"weights": [1, 2], "g": {"2": {"2,0": "1/0"}}}),
     ("sigma_float_coefficient", "sigma", {"weights": [1, 2], "g": {"2": {"2,0": 1.5}}}),

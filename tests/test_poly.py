@@ -24,6 +24,7 @@ from quasicirc.intpoly import width
 from quasicirc.poly import _evaluate_at
 from oracles import (
     random_poly_map,
+    reference_parse_polynomial,
     schoolbook_evaluate,
     schoolbook_product,
     schoolbook_substitute,
@@ -578,6 +579,10 @@ def test_parse_is_whitespace_insensitive():
 def test_parse_accepts_stars_and_repeats():
     assert parse_polynomial("2*z1*z2", 2) == 2 * var(2, 1) * var(2, 2)
     assert parse_polynomial("z1 z1", 2) == var(2, 1) ** 2
+    z1, z2 = var(2, 1), var(2, 2)
+    for text, expected in [("2*", 2), ("z1*", z1), ("z 1 ^ 2", z1**2), ("2 * z1", 2 * z1),
+                           ("z1z2", z1 * z2), ("z1^0", 1)]:
+        assert parse_polynomial(text, 2) == expected
 
 
 def test_parse_zero_and_signs():
@@ -588,11 +593,43 @@ def test_parse_zero_and_signs():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "z0", "z3", "1 +", "x1", "1//2", "z1^", "1/0", "3 4", "z1 ^2 ^3"],
+    ["", "z0", "z3", "1 +", "x1", "1//2", "z1^", "1/0", "3 4", "z1 ^2 ^3",
+     "2**z1", "z1 2", "+", "- -z1", "2/", "/3", "z1^2^3", "z1 + -z2"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_polynomial(bad, 2)
+
+
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="no limit on int-string conversion")
+@pytest.mark.parametrize("template", ["{} z1", "1/{} z1", "z{}", "z1^{}"])
+def test_parse_rejects_overlong_numerals(template):
+    # int() raises a bare ValueError past the limit; the parser names it
+    with pytest.raises(ParseError):
+        parse_polynomial(template.format("1" * (INT_MAX_STR_DIGITS + 1)), 2)
+
+
+# tokens of the syntax, whitespace that ends a numeral, a Unicode digit and a
+# stray character; whole tokens are drawn often enough to build accepted inputs
+PARSER_TOKENS = ["z", "z1", "z2", "z3", "0", "1", "2", "12", "٣", "^", "/", "+", "-", "*",
+                 " ", "\t", " ", "x"]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.sampled_from(PARSER_TOKENS), max_size=12).map("".join)
+       | st.text(st.sampled_from("z0123456789^/+-* \t ٣x"), max_size=12))
+def test_parse_matches_reference_parser(n, text):
+    try:
+        expected = reference_parse_polynomial(text, n)
+    except ParseError:
+        with pytest.raises(ParseError):
+            parse_polynomial(text, n)
+    else:
+        assert parse_polynomial(text, n) == expected
 
 
 @settings(max_examples=80)
