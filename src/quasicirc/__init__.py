@@ -29,6 +29,7 @@ from .conjugation import (
 )
 from .errors import (
     BlockDiagonalInput,
+    BudgetExceeded,
     DimensionMismatch,
     DoesNotFixOrigin,
     EmptyPool,

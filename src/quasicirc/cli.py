@@ -23,7 +23,7 @@ from .conjugation import (
     quasi_resonance_estimate,
     solve_conjugacy,
 )
-from .errors import ParseError, QuasicircError, WeightMismatch
+from .errors import BudgetExceeded, ParseError, QuasicircError, WeightMismatch
 from .linalg import LinearMap
 from .poly import format_poly_map, parse_poly_map
 from .resonant import DEFAULT_POOL, TriangularResonantMap, invert_sigma, random_sigma
@@ -198,7 +198,10 @@ def _dumps(obj) -> str:
     and keys are encoded by `json.dumps` itself.
     """
     out = []
-    _write(obj, "\n", out, {})
+    try:
+        _write(obj, "\n", out, {})
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+        raise BudgetExceeded(f"number too long to print: {exc}") from None
     return "".join(out)
 
 
@@ -319,7 +322,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        payload = args.handler(args)
+        # _dumps raises BudgetExceeded, not ValueError, on an over-long int
+        text = _dumps(args.handler(args))
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -327,7 +331,7 @@ def run(argv=None) -> int:
         print(_dumps({"error": type(exc).__name__}))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(_dumps(payload))
+    print(text)
     return 0
 
 

@@ -79,3 +79,11 @@ class NoResonantConjugacy(QuasicircError):
 
 class ParseError(QuasicircError):
     """Malformed textual input (polynomial syntax or serialized object)."""
+
+
+# resource limits
+
+
+class BudgetExceeded(QuasicircError):
+    """A result is too large to produce, such as an integer with more digits
+    than `sys.get_int_max_str_digits()` allows in its decimal output."""

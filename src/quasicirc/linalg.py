@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
-from .errors import SingularLinearMap
+from .errors import BudgetExceeded, SingularLinearMap
 
 
 def as_fraction(value) -> Fraction:
@@ -103,7 +103,10 @@ class LinearMap:
 
     def to_string_rows(self) -> list:
         """Rows as 'p/q' strings, the wire format used by the CLI."""
-        return [[str(x) for x in row] for row in self.rows]
+        try:
+            return [[str(x) for x in row] for row in self.rows]
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise BudgetExceeded(f"entry too long to print: {exc}") from None
 
     @classmethod
     def from_string_rows(cls, rows: Iterable[Iterable]) -> "LinearMap":

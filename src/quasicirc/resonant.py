@@ -5,7 +5,9 @@ nonlinear part g_i is a sum of monomials with exponent alpha in the i-th
 resonance set and total degree |alpha| >= 2.  Those two conditions force
 every variable appearing in g_i to carry strictly smaller weight than m_i,
 which is what makes the closed-form inversion below work: the inverse is
-again of the same shape and can be built one component at a time.
+again of the same shape and can be built one component at a time.  The
+same recursion solves u + g(u) = b for any base b (`_unwind`); with
+b = L . sigma it gives the conjugate by a block-diagonal L.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     EmptyPool,
     NotNonlinear,
@@ -139,10 +142,13 @@ class TriangularResonantMap:
         for i, part in enumerate(self.g, start=1):
             if part.is_zero():
                 continue
-            g_obj[str(i)] = {
-                ",".join(str(a) for a in alpha): str(part.terms[alpha])
-                for alpha in sorted(part.terms)
-            }
+            try:
+                g_obj[str(i)] = {
+                    ",".join(str(a) for a in alpha): str(part.terms[alpha])
+                    for alpha in sorted(part.terms)
+                }
+            except ValueError as exc:  # past sys.get_int_max_str_digits()
+                raise BudgetExceeded(f"coefficient too long to print: {exc}") from None
         return {"weights": list(self.weight.m), "g": g_obj}
 
     @classmethod
@@ -214,39 +220,53 @@ def random_sigma(
     return TriangularResonantMap(weights, tuple(parts))
 
 
-def invert_sigma(sigma: TriangularResonantMap) -> TriangularResonantMap:
-    """Exact compositional inverse, component by component.
+def _unwind(sigma: TriangularResonantMap, base: Sequence[Polynomial]) -> tuple:
+    """Solve u + g(u) = base for u, one component at a time.
 
-    Writing the inverse as tau = id + h, the components satisfy
+    g_i only involves variables of weight strictly below m_i, which are
+    z_1, ..., z_{i-1} since the weights are sorted, so
 
-        h_i = -g_i(tau_1, ..., tau_{i-1}, 0, ..., 0),
+        u_i = base_i - g_i(u_1, ..., u_{i-1}, 0, ..., 0)
 
-    because g_i only involves variables of weight strictly below m_i and
-    those are recovered by the already-built components.  The recursion needs
-    no series truncation: every step is a finite polynomial substitution, and
-    the result is again triangular resonant (the constructor re-checks).
-    For the same reason the substitutions share one power cache: g_i reads
-    only slots that already hold their final tau_j, never a zero placeholder.
+    is exact: every step is a finite polynomial substitution, with no series
+    truncation.  For the same reason the substitutions share one power
+    cache: g_i reads only slots that already hold their final u_j, never a
+    zero placeholder.  Returns the components u_i and the corrections
+    -g_i(u_1, ..., u_{i-1}, 0, ..., 0).
     """
     weights = sigma.weight
     n = weights.n
-    zero = Polynomial.zero(n)
-    tau_components = []
-    h_parts = []
+    slots = [Polynomial.zero(n)] * n
+    corrections = []
     power_cache: Dict = {}
-    for i in range(1, n + 1):
-        g_i = sigma.g[i - 1]
+    for i, (g_i, base_i) in enumerate(zip(sigma.g, base), start=1):
         # The recursion zeroes out slots i..n, so g_i must not touch them;
         # this re-derives the support restriction instead of trusting it.
         for alpha in g_i.exponents():
             assert all(
                 alpha[j] == 0 for j in range(n) if weights.m[j] >= weights.m[i - 1]
             ), f"component {i} uses a variable of weight >= {weights.m[i - 1]}"
-        substitution = tau_components + [zero] * (n - len(tau_components))
-        h_i = -g_i.substitute(substitution, _cache=power_cache)
-        h_parts.append(h_i)
-        tau_components.append(Polynomial.variable(n, i) + h_i)
-    return TriangularResonantMap(weights, tuple(h_parts))
+        correction = -g_i.substitute(slots, _cache=power_cache)
+        corrections.append(correction)
+        slots[i - 1] = base_i + correction
+    return slots, corrections
+
+
+def invert_sigma(sigma: TriangularResonantMap) -> TriangularResonantMap:
+    """Exact compositional inverse, component by component.
+
+    The inverse tau = id + h solves sigma(tau) = z, that is tau + g(tau) = z,
+    so `_unwind` with base z builds it:
+
+        h_i = -g_i(tau_1, ..., tau_{i-1}, 0, ..., 0).
+
+    The same recursion, with base L . sigma, gives the block-diagonal
+    conjugate in `conjugation`.  The result is again triangular resonant
+    (the constructor re-checks).
+    """
+    n = sigma.n
+    _, h_parts = _unwind(sigma, PolyMap.identity(n).components)
+    return TriangularResonantMap(sigma.weight, tuple(h_parts))
 
 
 def compose_sigma(
@@ -254,16 +274,21 @@ def compose_sigma(
 ) -> TriangularResonantMap:
     """outer(inner(z)), revalidated as a triangular resonant map.
 
-    Closure holds because substituting components of weighted order m_j into
-    an i-th resonant polynomial again yields weighted order m_i.
+    With outer = id + g and inner = id + k, the i-th component of the
+    composition is z_i + k_i + g_i(inner), so its nonlinear part is
+    k_i + g_i(inner): one substitution per component, sharing one power
+    cache, and no z_i to add and take away again.  Closure holds because
+    substituting components of weighted order m_j into an i-th resonant
+    polynomial again yields weighted order m_i.
     """
     if outer.weight != inner.weight:
         raise WeightMismatch(
             f"weight vectors differ: {outer.weight.m} vs {inner.weight.m}"
         )
-    n = outer.n
-    composed = outer.as_poly_map().compose(inner.as_poly_map())
+    values = inner.as_poly_map().components
+    power_cache: Dict = {}
     parts = tuple(
-        composed.components[i - 1] - Polynomial.variable(n, i) for i in range(1, n + 1)
+        k_i + g_i.substitute(values, _cache=power_cache)
+        for g_i, k_i in zip(outer.g, inner.g)
     )
     return TriangularResonantMap(outer.weight, parts)

@@ -42,6 +42,10 @@ class WeightVector:
     silently sorting would re-index the variables, and dividing by a common
     factor would change the grading.  Use `canonicalize_weights` when the
     caller wants that done explicitly.
+
+    Each instance keeps the resonance sets it has been asked for, keyed by
+    the weight m_i they depend on, in `_resonance_sets`: an attribute, not a
+    field, so equality, hashing and repr see only m.
     """
 
     m: tuple
@@ -59,6 +63,7 @@ class WeightVector:
         if math.gcd(*entries) != 1:
             raise NotCoprime(f"weights must have gcd 1, got {entries}")
         object.__setattr__(self, "m", entries)
+        object.__setattr__(self, "_resonance_sets", {})
 
     @property
     def n(self) -> int:
@@ -216,9 +221,17 @@ def has_weighted_exponents(weights, target: int) -> bool:
 
 
 def resonance_set(weights: WeightVector, i: int):
-    """The i-th resonance set {alpha : m . alpha = m_i}, lexicographic."""
+    """The i-th resonance set {alpha : m . alpha = m_i}, lexicographic.
+
+    Listed once per weight vector and weight value, then returned from the
+    instance's cache: equal weights share one tuple.
+    """
     weights.check_index(i)
-    return weighted_exponents(weights, weights.m[i - 1])
+    target = weights.m[i - 1]
+    sets = weights._resonance_sets
+    if target not in sets:
+        sets[target] = weighted_exponents(weights, target)
+    return sets[target]
 
 
 @dataclass(frozen=True)

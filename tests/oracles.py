@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import Dict
 
-from quasicirc import ParseError, Polynomial, PolyMap, WeightVector
+from quasicirc import ParseError, Polynomial, PolyMap, TriangularResonantMap, WeightVector
 from quasicirc.weights import MultiIndex
 
 # the fixed weight-vector set used by map-level property and acceptance tests
@@ -112,6 +112,20 @@ def series_inverse(sigma, max_degree: int) -> PolyMap:
             degree,
         )
     return tau
+
+
+def generic_compose_sigma(outer, inner) -> TriangularResonantMap:
+    """outer(inner(z)) by the generic `PolyMap.compose`, then g_i = component_i - z_i.
+
+    Blind to the triangular structure that `compose_sigma` uses: both full
+    maps are built and composed, and the identity is taken away afterwards.
+    """
+    n = outer.n
+    composed = outer.as_poly_map().compose(inner.as_poly_map())
+    parts = tuple(
+        composed.components[i - 1] - Polynomial.variable(n, i) for i in range(1, n + 1)
+    )
+    return TriangularResonantMap(outer.weight, parts)
 
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 5) -> Polynomial:

@@ -12,7 +12,17 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from quasicirc import WeightVector, bergman, cli, random_sigma
+from quasicirc import (
+    BudgetExceeded,
+    LinearMap,
+    Polynomial,
+    WeightVector,
+    bergman,
+    cli,
+    format_polynomial,
+    make_sigma,
+    random_sigma,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -171,6 +181,44 @@ def test_overlong_numeral_in_map_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "solve", "--weights", "1,2", "--map", str(path))
     assert code == 2 and not out
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.fixture
+def int_string_limit():
+    """CPython's default int-string limit, whatever the environment set."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no limit on int-string conversion")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
+
+
+def test_overlong_result_is_a_budget_error(capsys, tmp_path, int_string_limit):
+    # a valid input whose conjugate squares a 3000-digit coefficient
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps({"weights": [1, 2], "g": {"2": {"2,0": "7" * 3000}}}))
+    code, out, err = run_cli(capsys, "conjugate", "--weights", "1,2", "--sigma", str(sigma),
+                             "--linear", str(DATA / "linear_offblock.json"))
+    assert code == 1 and json.loads(out) == {"error": "BudgetExceeded"}
+    assert err.startswith("error: ") and "Traceback" not in err
+    # the block-diagonal conjugate keeps degree 2 and prints
+    code, out, _ = run_cli(capsys, "conjugate", "--weights", "1,2", "--sigma", str(sigma),
+                           "--linear", str(DATA / "linear_diag23.json"))
+    assert code == 0 and "7" * 3000 in out
+
+
+def test_every_output_path_names_the_budget_error(int_string_limit):
+    huge = 10 ** (int_string_limit + 1)
+    with pytest.raises(BudgetExceeded):
+        format_polynomial(Polynomial(2, {(1, 0): huge}))
+    with pytest.raises(BudgetExceeded):
+        make_sigma(WeightVector((1, 2)), {(2, (2, 0)): huge}).to_json_dict()
+    with pytest.raises(BudgetExceeded):
+        LinearMap(((huge, 0), (0, 1))).to_string_rows()
+    for payload in ({"value": huge}, [[huge, 1]], [1, "a", huge]):
+        with pytest.raises(BudgetExceeded):
+            cli._dumps(payload)
 
 
 MALFORMED_VALUE_CASES = [

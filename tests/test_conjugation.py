@@ -34,8 +34,9 @@ from quasicirc import (
     solve_conjugacy,
     solve_exact,
 )
+from quasicirc.conjugation import _conjugate
 from quasicirc.resonant import pool_choices
-from oracles import WEIGHT_SET
+from oracles import WEIGHT_SET, series_inverse
 
 
 def var(n, j):
@@ -189,6 +190,51 @@ def test_conjugation_respects_inverses():
             g = conjugate(s, linear.inverse())
             assert f.compose(g) == PolyMap.identity(w.n)
             assert g.compose(f) == PolyMap.identity(w.n)
+
+
+# the two routes: the triangular recursion for a block-diagonal L, and
+# tau . (L . sigma) with tau = sigma^-1 for any other L
+
+
+@pytest.mark.parametrize("m", WEIGHT_SET)
+def test_conjugate_solves_the_defining_identity(m):
+    w = WeightVector(m)
+    mu = resonance_profile(w).order
+    partition = block_partition(w)
+    for seed in range(5):
+        sigma = random_sigma(w, seed + 500)
+        mixing = random_linear_map(w.n, seed + 700)
+        # the pool has no zero, so the map mixes blocks whenever there are two
+        assert is_block_diagonal(mixing, partition) == (partition.block_count == 1)
+        for linear in (random_block_diagonal_map(w, seed + 600), mixing):
+            f = conjugate(sigma, linear)
+            l_sigma = PolyMap.from_linear(linear).compose(sigma.as_poly_map())
+            assert sigma.as_poly_map().compose(f) == l_sigma
+            assert f == series_inverse(sigma, mu).compose(l_sigma)
+            # each route is exact for every invertible L; the block structure
+            # only decides which one is cheaper
+            assert _conjugate(sigma, linear, True) == _conjugate(sigma, linear, False) == f
+
+
+def test_only_a_mixing_linear_map_builds_the_inverse(monkeypatch):
+    inversions, block_tests = [], []
+    invert, block_test = quasicirc.conjugation.invert_sigma, is_block_diagonal
+    monkeypatch.setattr(quasicirc.conjugation, "invert_sigma",
+                        lambda s: inversions.append(s) or invert(s))
+    monkeypatch.setattr(quasicirc.conjugation, "is_block_diagonal",
+                        lambda *args: block_tests.append(args) or block_test(*args))
+    w = WeightVector((1, 2, 3))
+    sigma = random_sigma(w, 4)
+    conjugate(sigma, random_block_diagonal_map(w, 5))
+    assert check_theorem_instance(w, sigma, random_block_diagonal_map(w, 6)).block_diagonal
+    assert inversions == [] and len(block_tests) == 2
+    conjugate(sigma, random_linear_map(3, 7))
+    assert not check_theorem_instance(w, sigma, random_linear_map(3, 8)).block_diagonal
+    assert inversions == [sigma, sigma] and len(block_tests) == 4
+    # the violation search sees only mixing maps: one inverse per trial
+    inversions.clear()
+    assert find_violation(WeightVector((2, 3)), OFFBLOCK, trials=3, seed=1) is None
+    assert len(inversions) == 3
 
 
 # violation search

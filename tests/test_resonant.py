@@ -22,7 +22,7 @@ from quasicirc import (
     random_sigma,
     resonance_profile,
 )
-from oracles import WEIGHT_SET, series_inverse
+from oracles import WEIGHT_SET, generic_compose_sigma, series_inverse
 
 
 def var(n, j):
@@ -212,6 +212,26 @@ def test_compose_with_inverse_is_identity():
     assert compose_sigma(s, invert_sigma(s)).is_identity()
     assert compose_sigma(s, identity_sigma(w)) == s
     assert compose_sigma(identity_sigma(w), s) == s
+
+
+# vectors whose triangular maps form a non-abelian group
+NONCOMMUTING = {(1, 2, 3), (1, 2, 4), (1, 2, 6), (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("m", WEIGHT_SET)
+def test_compose_matches_generic_composition(m):
+    w = WeightVector(m)
+    identity = identity_sigma(w)
+    for seed in range(5):
+        a = random_sigma(w, 2 * seed + 300)
+        b = random_sigma(w, 2 * seed + 301)
+        ab, ba = compose_sigma(a, b), compose_sigma(b, a)
+        assert ab == generic_compose_sigma(a, b)
+        assert ba == generic_compose_sigma(b, a)
+        assert (ab != ba) == (m in NONCOMMUTING)
+        assert compose_sigma(a, identity) == generic_compose_sigma(a, identity) == a
+        assert compose_sigma(identity, a) == generic_compose_sigma(identity, a) == a
+    assert compose_sigma(identity, identity) == generic_compose_sigma(identity, identity)
 
 
 def test_compose_quadratic_example():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -227,3 +228,17 @@ def test_unreachable_degrees_have_no_exponents():
     assert weighted_exponents((1, 4, 6), 10) == (
         (0, 1, 1), (2, 2, 0), (4, 0, 1), (6, 1, 0), (10, 0, 0)
     )
+
+
+def test_resonance_sets_are_kept_on_the_vector():
+    w = WeightVector((1, 2, 2, 3))
+    first = resonance_set(w, 3)
+    assert resonance_set(w, 3) is first
+    # the set depends on m_i alone, so equal weights share one tuple
+    assert resonance_set(w, 2) is first
+    twin = WeightVector((1, 2, 2, 3))
+    # the cache is no field: a vector with sets kept equals a fresh one
+    assert twin == w and hash(twin) == hash(w) and repr(twin) == repr(w)
+    assert "_resonance_sets" not in {field.name for field in dataclasses.fields(w)}
+    assert resonance_set(twin, 3) == first
+    assert resonance_profile(w).sets == resonance_profile(twin).sets
