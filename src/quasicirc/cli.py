@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 domain error (JSON `{"error": name}` payload on
 stdout), 2 usage error (malformed flags or files; diagnostics on stderr).
 Identical invocations produce byte-identical stdout, and stdout is
-`json.dumps(payload, indent=2)` byte for byte.
+`json.dumps(payload, indent=2)` byte for byte.  It is written in pieces, so
+the text of a large listing is never joined into one string, but only after
+the whole payload has been formatted: a command that fails writes nothing
+but its error payload.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def cmd_resonance(args) -> dict:
             "weights": list(weights.m),
             "index": args.index,
             "set": exponents,
-            "order": max(sum(alpha) for alpha in exponents),
+            "order": max(map(sum, exponents)),
         }
     profile = resonance_profile(weights)
     return {
@@ -191,18 +194,28 @@ def cmd_bergman(args) -> dict:
 def _dumps(obj) -> str:
     """`json.dumps(obj, indent=2)`, byte for byte.
 
+    The string is `"".join` over `_pieces(obj)`, the list that `run` writes
+    to stdout piece by piece once all of it is built, so a listing shared by
+    several table entries is held as text once, not once per entry.
+    """
+    return "".join(_pieces(obj))
+
+
+def _pieces(obj) -> list:
+    """The text of `json.dumps(obj, indent=2)` as a list of strings.
+
     The stdlib's C encoder is used only without an indent.  Here a list of
     equal-length int rows (the exponent lists that make up large outputs) is
-    formatted with one row template, once per object and indent, since
-    table entries share one listing; everything else recurses, and scalars
-    and keys are encoded by `json.dumps` itself.
+    formatted with one row template, once per object and indent, and each
+    table entry that shares it gets the same string; everything else
+    recurses, and scalars and keys are encoded by `json.dumps` itself.
     """
     out = []
     try:
         _write(obj, "\n", out, {})
     except ValueError as exc:  # an int past sys.get_int_max_str_digits()
         raise BudgetExceeded(f"number too long to print: {exc}") from None
-    return "".join(out)
+    return out
 
 
 def _write(obj, newline: str, out: list, listings: dict) -> None:
@@ -322,8 +335,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        # _dumps raises BudgetExceeded, not ValueError, on an over-long int
-        text = _dumps(args.handler(args))
+        # _pieces raises BudgetExceeded, not ValueError, on an over-long int
+        pieces = _pieces(args.handler(args))
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -331,7 +344,8 @@ def run(argv=None) -> int:
         print(_dumps({"error": type(exc).__name__}))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(text)
+    sys.stdout.writelines(pieces)
+    sys.stdout.write("\n")
     return 0
 
 

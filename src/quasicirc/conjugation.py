@@ -54,13 +54,18 @@ from .resonant import (
     pool_choices,
     random_sigma,
 )
-from .weights import BlockPartition, WeightVector, block_partition, resonance_profile
+from .weights import BlockPartition, WeightVector, block_partition, resonance_set
 
 
 def _subseed(seed: int, index: int) -> int:
     # per-trial seed, a pure function of (seed, index) so trial streams are
     # prefix-stable and order-independent
     return (seed * 1_000_003 + index) & ((1 << 63) - 1)
+
+
+def _resonance_order(weights: WeightVector) -> int:
+    """The resonance order mu, read from the sets the weight vector keeps."""
+    return max(max(map(sum, resonance_set(weights, i))) for i in range(1, weights.n + 1))
 
 
 def is_block_diagonal(linear: LinearMap, partition: BlockPartition) -> bool:
@@ -146,7 +151,7 @@ def check_theorem_instance(
     _check_conjugable(sigma, linear)
     block_diagonal = is_block_diagonal(linear, block_partition(weights))
     result = _conjugate(sigma, linear, block_diagonal)
-    profile = resonance_profile(weights)
+    mu = _resonance_order(weights)
     degree = result.total_degree()
     flags = tuple(
         result.components[i - 1].is_i_resonant(weights, i)
@@ -155,8 +160,8 @@ def check_theorem_instance(
     return ConjugationReport(
         result=result,
         degree=degree,
-        resonance_order=profile.order,
-        within_bound=degree <= profile.order,
+        resonance_order=mu,
+        within_bound=degree <= mu,
         block_diagonal=block_diagonal,
         component_resonant=flags,
     )
@@ -188,7 +193,7 @@ def find_violation(
         raise BlockDiagonalInput(
             "block-diagonal maps never exceed the resonance order"
         )
-    mu = resonance_profile(weights).order
+    mu = _resonance_order(weights)
     for trial in range(trials):
         candidate = random_sigma(weights, _subseed(seed, trial), pool)
         if _conjugate(candidate, linear, block_diagonal=False).total_degree() > mu:
@@ -219,7 +224,7 @@ def quasi_resonance_estimate(
     """Estimate the maximal conjugate degree by seeded random sampling."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    mu = resonance_profile(weights).order
+    mu = _resonance_order(weights)
     partition = block_partition(weights)
     observed = 0
     for trial in range(trials):

@@ -44,8 +44,9 @@ class WeightVector:
     caller wants that done explicitly.
 
     Each instance keeps the resonance sets it has been asked for, keyed by
-    the weight m_i they depend on, in `_resonance_sets`: an attribute, not a
-    field, so equality, hashing and repr see only m.
+    the weight m_i they depend on, in `_resonance_sets`, and its block
+    partition, once built, in `_partition`: attributes, not fields, so
+    equality, hashing and repr see only m.
     """
 
     m: tuple
@@ -64,6 +65,7 @@ class WeightVector:
             raise NotCoprime(f"weights must have gcd 1, got {entries}")
         object.__setattr__(self, "m", entries)
         object.__setattr__(self, "_resonance_sets", {})
+        object.__setattr__(self, "_partition", None)
 
     @property
     def n(self) -> int:
@@ -136,13 +138,18 @@ class BlockPartition:
 
 
 def block_partition(weights: WeightVector) -> BlockPartition:
-    """Group coordinates into maximal runs of equal weight."""
-    bounds = [0]
-    for idx in range(1, weights.n):
-        if weights.m[idx] != weights.m[idx - 1]:
-            bounds.append(idx)
-    bounds.append(weights.n)
-    return BlockPartition(tuple(bounds))
+    """Group coordinates into maximal runs of equal weight.
+
+    Built once per weight vector, then returned from the instance.
+    """
+    if weights._partition is None:
+        bounds = [0]
+        for idx in range(1, weights.n):
+            if weights.m[idx] != weights.m[idx - 1]:
+                bounds.append(idx)
+        bounds.append(weights.n)
+        object.__setattr__(weights, "_partition", BlockPartition(tuple(bounds)))
+    return weights._partition
 
 
 def _entries(weights) -> tuple:
@@ -164,9 +171,11 @@ def weighted_exponents(weights, target: int):
     """All alpha in N^n with m . alpha == target, in lexicographic order.
 
     Accepts a WeightVector or a plain weight tuple.  A negative target has no
-    solutions; target 0 has exactly the zero multi-index.  The prefixes are
-    built level by level, so any n works, and the last two entries are solved
-    exactly rather than searched.
+    solutions; target 0 has exactly the zero multi-index.  The prefixes of
+    all but the last three entries are built level by level, so any n works.
+    The third-to-last entry is looped over inline and the last two are solved
+    exactly rather than searched, so the largest prefix level, one prefix per
+    output row, is never stored.
     """
     entries = _entries(weights)
     if target < 0:
@@ -175,8 +184,16 @@ def weighted_exponents(weights, target: int):
     if n == 1:
         quotient, rest = divmod(target, entries[0])
         return () if rest else ((quotient,),)
+    *head, w, last = entries
+    g, step, inverse = _last_pair(w, last)
+    if not head:
+        if target % g:
+            return ()
+        return tuple((e, (target - e * w) // last)
+                     for e in range((target // g) * inverse % step, target // w + 1, step))
+    *head, third = head
     level = [((), target)]
-    for weight in entries[:-2]:
+    for weight in head:
         deeper = []
         append = deeper.append
         for prefix, remaining in level:
@@ -186,16 +203,20 @@ def weighted_exponents(weights, target: int):
             else:  # a spent prefix has only the all-zero completion
                 append((prefix, 0))
         level = deeper
-    w, last = entries[-2:]
-    g, step, inverse = _last_pair(w, last)
     out = []
     append = out.append
     for prefix, remaining in level:
         if not remaining:
             append(prefix + (0,) * (n - len(prefix)))
-        elif remaining % g == 0:
-            for e in range((remaining // g) * inverse % step, remaining // w + 1, step):
-                append(prefix + (e, (remaining - e * w) // last))
+            continue
+        for d in range(remaining // third + 1):
+            r = remaining - d * third
+            if not r:
+                append(prefix + (d, 0, 0))
+            elif r % g == 0:
+                row = prefix + (d,)
+                for e in range((r // g) * inverse % step, r // w + 1, step):
+                    append(row + (e, (r - e * w) // last))
     return tuple(out)
 
 
@@ -258,5 +279,5 @@ class ResonanceProfile:
 def resonance_profile(weights: WeightVector) -> ResonanceProfile:
     """Compute every resonance set and the resonance order."""
     sets = tuple(resonance_set(weights, i) for i in range(1, weights.n + 1))
-    orders = tuple(max(sum(alpha) for alpha in component) for component in sets)
+    orders = tuple(max(map(sum, component)) for component in sets)
     return ResonanceProfile(weight=weights, sets=sets, orders=orders, order=max(orders))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -371,6 +372,44 @@ def shared_listings(rows):
 @given(int_rows() | JSON_VALUES | int_rows().map(shared_listings))
 def test_dumps_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+class WriteLengths(io.TextIOBase):
+    """A stdout that keeps only the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return len(text)
+
+
+def test_large_listing_is_written_in_pieces():
+    # every one of the n resonance sets of (1, ..., 1) is the same n units,
+    # so the output grows as n^3 while the library holds one listing
+    n = 100
+    units = [[int(k == j) for k in range(n)] for j in reversed(range(n))]
+    payload = {
+        "weights": [1] * n,
+        "sets": {str(i): units for i in range(1, n + 1)},
+        "orders": {str(i): 1 for i in range(1, n + 1)},
+        "mu": 1,
+    }
+    total = len(json.dumps(payload, indent=2)) + 1
+    out = WriteLengths()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            code = cli.run(["resonance", "--weights", ",".join(["1"] * n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sum(out.lengths) == total
+    assert max(out.lengths) < total / 10
+    assert peak < total
 
 
 # fuzzing cli.run: small argv and file contents, malformed ones included.

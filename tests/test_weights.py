@@ -208,7 +208,9 @@ def test_large_weights_are_exact():
 
 
 def test_matches_box_oracle_on_small_vectors():
-    for m in all_weight_tuples(3, 5):
+    # n <= 3 has no stored prefix level; n = 4 and 5 store one and two
+    wide = [m for m in all_weight_tuples(5, 3) if len(m) > 3]
+    for m in all_weight_tuples(3, 5) + wide:
         w = WeightVector(m)
         for i in range(1, w.n + 1):
             assert set(resonance_set(w, i)) == box_resonance_set(m, i)
