@@ -8,8 +8,9 @@ when L mixes blocks, the degree can exceed the bound, and `find_violation`
 searches for an explicit witness.  The block structure also picks the
 route: a block-diagonal conjugate is built from sigma . f = L . sigma one
 component at a time, by the recursion that inverts sigma, while a mixing L
-keeps tau . (L . sigma) with tau = sigma^{-1}, because there the recursion
-swells (see `_conjugate`).  `solve_conjugacy` goes the other way: it
+takes (tau . L) . sigma with tau = sigma^{-1}, sigma applied one shift
+z_j -> z_j + g_j at a time, because there the recursion swells (see
+`_conjugate`).  `solve_conjugacy` goes the other way: it
 recovers (sigma, J) with sigma . f = J . sigma from f alone by solving an
 exact linear system for the finitely many admissible coefficients of g.
 
@@ -84,7 +85,7 @@ def conjugate(sigma: TriangularResonantMap, linear: LinearMap) -> PolyMap:
     """The exact conjugate sigma^{-1} . L . sigma as a polynomial map.
 
     A block-diagonal L takes the triangular recursion, any other L the
-    route through tau = sigma^{-1}; see `_conjugate`.
+    shifts of tau . L with tau = sigma^{-1}; see `_conjugate`.
     """
     _check_conjugable(sigma, linear)
     return _conjugate(sigma, linear, is_block_diagonal(linear, block_partition(sigma.weight)))
@@ -111,17 +112,24 @@ def _conjugate(sigma: TriangularResonantMap, linear: LinearMap, block_diagonal: 
 
     There every f_j has degree at most the resonance order mu, and no
     inverse is built.  A block-mixing L pushes the f_j up to degree mu^2, and
-    g_i(f_1, ...) swells before it cancels, so such an L keeps
-    tau . (L . sigma) with tau = sigma^{-1}.  Timed on a shared 2-vCPU host
-    with one random sigma each, the recursion against the tau route took
-    0.25 against 0.47 ms for a block-diagonal L at weights (1,2,6), and
-    9.1 against 3.6 ms for a mixing one; 0.35 against 0.62 ms and 12.7
-    against 5.3 ms at (1,2,3,5).
+    g_i(f_1, ...) swells before it cancels, so such an L takes
+    f = (tau . L) . sigma with tau = sigma^{-1}.  tau . L substitutes linear
+    forms, and sigma = id + g is applied by `PolyMap._shift`: z_j -> z_j + g_j
+    in ascending j, exact because g_j reads only z_1, ..., z_{j-1}, which no
+    later shift touches.  A shift makes one product per component and power
+    of z_j, where substituting L . sigma into tau makes one per term of tau:
+    1.4 to 3 times the term pairs at the benchmark's weight vectors.
+    Timed on a shared 2-vCPU host with one random sigma each, the recursion
+    against the shift route took 0.24 against 0.33 ms for a block-diagonal
+    L at weights (1,2,6), and 6.6 against 1.1 ms for a mixing one (tau .
+    (L . sigma) took 2.4 ms); 0.34 against 0.44 ms and 11.5 against 3.5 ms
+    (tau . (L . sigma) 4.8 ms) at (1,2,3,5).
     """
-    inner = PolyMap.from_linear(linear).compose(sigma.as_poly_map())
     if block_diagonal:
+        inner = PolyMap.from_linear(linear).compose(sigma.as_poly_map())
         return PolyMap(_unwind(sigma, inner.components)[0])
-    return invert_sigma(sigma).as_poly_map().compose(inner)
+    tau_l = invert_sigma(sigma).as_poly_map().compose(PolyMap.from_linear(linear))
+    return tau_l._shift(sigma.g)
 
 
 @dataclass(frozen=True)

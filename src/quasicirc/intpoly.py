@@ -20,9 +20,11 @@ polynomials have equal keys, and equality and hashing compare ints.  A
 result that lost its top degree to cancellation is narrowed back by
 `reduced`, which brings every result to canonical form.
 
-`sum_of_products` is the one product routine and makes no Fraction.
-`evaluate` is its counterpart for values at a point: one integer sum per
-term map, and one Fraction.
+`sum_of_products` is the one general product routine and makes no
+Fraction; `shift`, which applies a triangular map z + g by one Taylor shift
+per variable, feeds the same pair loop `_accumulate`.  `evaluate` is their
+counterpart for values at a point: one integer sum per term map, and one
+Fraction.
 """
 
 from __future__ import annotations
@@ -117,6 +119,47 @@ def sum_of_products(n: int, products, den: int = 1) -> tuple:
             partial = _accumulate({}, partial, right, 1).items()
         _accumulate(acc, partial, last, c * (common // scale))
     return reduced(n, acc, common * den, w)
+
+
+def shift(n: int, parts, values) -> list:
+    """(terms, d, w), canonical, of each part P as P(z + values).
+
+    values[j - 1] may involve z_1, ..., z_{j-1} only, as the nonlinear parts
+    of a triangular map do.  Then P(z + values) is P with z_j replaced by
+    z_j + values[j - 1] for j = 1, ..., n in ascending order, each a Taylor
+    shift in one variable (von zur Gathen & Gerhard, ISSAC 1997): no shift
+    touches the variables of an earlier value, as a descending order would.
+    A shift groups each part's terms by their exponent e of z_j, with z_j^e
+    divided out, steps the powers (z_j + value)^e up once for all parts, and
+    sums group times power in one accumulation per part.  A term z^a goes to
+    degree at most sum_j a_j max(1, deg values_j), so every shift runs at the
+    width of deg P times the largest such factor, and only the results are
+    `reduced`.
+    """
+    stretch = max(max(1, degree(v._num, v._width)) for v in values)
+    w = width(n, stretch * max(degree(p._num, p._width) for p in parts))
+    out = [(repack(p._num, n, p._width, w), p._den) for p in parts]
+    mask = (1 << w) - 1
+    for j, value in enumerate(values):
+        if not value._num:
+            continue
+        at, d = j * w, value._den
+        step = {**repack(value._num, n, value._width, w), 1 << at: d}.items()
+        powers, shifted = [{0: 1}.items(), step], []
+        for num, den in out:
+            groups: Dict[int, list] = {}
+            for key, c in num.items():
+                e = key >> at & mask
+                groups.setdefault(e, []).append((key - (e << at), c))
+            top = max(groups, default=0)
+            while len(powers) <= top:
+                powers.append(_accumulate({}, powers[-1], step, 1).items())
+            acc: Dict[int, int] = {}
+            for e, group in groups.items():
+                _accumulate(acc, group, powers[e], d ** (top - e))
+            shifted.append((acc, den * d**top))
+        out = shifted
+    return [reduced(n, num, den, w) for num, den in out]
 
 
 def evaluate(terms: Dict, common: int, point, den: int, powers: Dict) -> Fraction:

@@ -15,7 +15,8 @@ and hashing compare ints.  All arithmetic is exact; floats are rejected at
 the boundary.
 
 Products (`*` and inside `substitute`) run on `intpoly.sum_of_products`,
-which takes and returns this form.  Sums, negation, derivatives and the
+and a triangular shift of a map (`PolyMap._shift`) on `intpoly.shift`; both
+take and return this form.  Sums, negation, derivatives and the
 degree work on the packed keys, and repack them only when widths differ or
 a top degree cancelled; a one-term power raises its key as key * e.  The
 readers that need exponent tuples (`exponents()`, `terms`, `coefficient()`,
@@ -43,7 +44,7 @@ from typing import Dict, KeysView, List, Mapping, Optional, Sequence
 from .errors import BudgetExceeded, DimensionMismatch, DoesNotFixOrigin
 from .errors import IndexOutOfRange, ParseError
 from .intpoly import degree, evaluate as evaluate_terms, over_lcm, reduced, repack
-from .intpoly import sum_of_products, unpack, width
+from .intpoly import shift, sum_of_products, unpack, width
 from .linalg import LinearMap, as_fraction
 from .weights import MultiIndex, WeightVector, weighted_degree
 
@@ -192,6 +193,8 @@ class Polynomial:
         return self.n == other.n and self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        if self._num.keys() <= {0}:  # equal to its value, so hashed as it
+            return hash(self.constant_term())
         return hash((self.n, self._den, frozenset(self._num.items())))
 
     # structure ------------------------------------------------------------
@@ -367,6 +370,10 @@ class PolyMap:
         return PolyMap(
             tuple(p.substitute(inner.components, _cache=cache) for p in self.components)
         )
+
+    def _shift(self, values: Sequence[Polynomial]) -> "PolyMap":
+        """self(z + values) for values_j in z_1, ..., z_{j-1}; see `intpoly.shift`."""
+        return PolyMap([Polynomial._from_ints(self.n, *t) for t in shift(self.n, self, values)])
 
     def total_degree(self) -> int:
         return max(p.total_degree() for p in self.components)

@@ -69,6 +69,15 @@ GOLDEN_CASES = [
         ),
     ),
     (
+        "conjugate_mixing_124.json",
+        0,
+        (
+            "conjugate", "--weights", "1,2,4",
+            "--sigma", str(DATA / "sigma_124.json"),
+            "--linear", str(DATA / "linear_mixing_124.json"),
+        ),
+    ),
+    (
         "violate_found.json",
         0,
         (

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import quasicirc.conjugation
+import quasicirc.intpoly
 from quasicirc import (
     BlockDiagonalInput,
     DEFAULT_POOL,
@@ -23,6 +24,7 @@ from quasicirc import (
     conjugate,
     find_violation,
     identity_sigma,
+    invert_sigma,
     is_block_diagonal,
     make_sigma,
     parse_poly_map,
@@ -46,6 +48,8 @@ def var(n, j):
 W12 = WeightVector((1, 2))
 SIGMA12 = make_sigma(W12, {(2, (2, 0)): 1})
 OFFBLOCK = LinearMap(((1, 1), (0, 1)))  # z -> (z1 + z2, z2)
+#: the weight vectors of the benchmark's conjugacy round trip
+SOLVE_WEIGHTS = ((1, 2, 4), (1, 2, 6), (1, 3, 6), (1, 2, 3, 4), (1, 2, 3, 5))
 
 
 # block diagonality
@@ -193,7 +197,8 @@ def test_conjugation_respects_inverses():
 
 
 # the two routes: the triangular recursion for a block-diagonal L, and
-# tau . (L . sigma) with tau = sigma^-1 for any other L
+# (tau . L) . sigma with tau = sigma^-1, sigma applied as one shift
+# z_j -> z_j + g_j at a time, for any other L
 
 
 @pytest.mark.parametrize("m", WEIGHT_SET)
@@ -214,6 +219,28 @@ def test_conjugate_solves_the_defining_identity(m):
             # each route is exact for every invertible L; the block structure
             # only decides which one is cheaper
             assert _conjugate(sigma, linear, True) == _conjugate(sigma, linear, False) == f
+
+
+@pytest.mark.parametrize("m", SOLVE_WEIGHTS)
+def test_mixing_route_multiplies_fewer_term_pairs(m, monkeypatch):
+    """Term pairs, a cost that no host changes: the shifts against tau . (L . sigma)."""
+    pairs = []
+    accumulate = quasicirc.intpoly._accumulate
+
+    def counting(acc, left, right, scale):
+        pairs.append(len(left) * len(right))
+        return accumulate(acc, left, right, scale)
+
+    monkeypatch.setattr(quasicirc.intpoly, "_accumulate", counting)
+    w = WeightVector(m)
+    sigma, linear = random_sigma(w, 3), random_linear_map(w.n, 4)
+    assert not is_block_diagonal(linear, block_partition(w))
+    f = conjugate(sigma, linear)
+    shifted = sum(pairs)
+    pairs.clear()
+    inner = PolyMap.from_linear(linear).compose(sigma.as_poly_map())
+    assert f == invert_sigma(sigma).as_poly_map().compose(inner)
+    assert shifted < sum(pairs)
 
 
 def test_only_a_mixing_linear_map_builds_the_inverse(monkeypatch):
@@ -499,10 +526,6 @@ def test_solve_rejects_the_only_candidate_by_its_residual(monkeypatch):
     with pytest.raises(NoResonantConjugacy, match="only candidate"):
         solve_conjugacy(parse_poly_map("2 z1\n3 z2\nz1 + 5 z3 + z1^4"), WeightVector((1, 2, 3)))
     assert seen == [(6, 6, 3)]
-
-
-#: the weight vectors of the benchmark's conjugacy round trip
-SOLVE_WEIGHTS = ((1, 2, 4), (1, 2, 6), (1, 3, 6), (1, 2, 3, 4), (1, 2, 3, 5))
 
 
 def bumped(f, weights):

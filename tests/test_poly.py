@@ -24,6 +24,7 @@ from quasicirc.intpoly import width
 from quasicirc.poly import _evaluate_at
 from oracles import (
     random_poly_map,
+    random_polynomial,
     reference_parse_polynomial,
     schoolbook_evaluate,
     schoolbook_product,
@@ -222,6 +223,15 @@ def test_cancellation_to_integers_and_zero():
         assert all(type(c) is Fraction for c in p.terms.values())
 
 
+def test_constants_hash_as_their_value():
+    z1 = var(2, 1)
+    for value in (3, Fraction(-5, 2), 0):
+        for p in (Polynomial.constant(2, value), z1 - z1 + value, Polynomial.constant(4, value)):
+            assert p == value and hash(p) == hash(value)
+            assert len({p, value}) == 1
+    assert hash(Polynomial.zero(3)) == hash(0) == hash(Fraction(0))
+
+
 # the integer product kernel against the schoolbook Fraction product
 
 # exponents up to 2**20 make the kernel pack keys at every field width
@@ -370,6 +380,78 @@ def test_compose_shared_power_cache_matches_schoolbook(case):
     composed = outer.compose(inner)
     for p, result in zip(outer.components, composed.components):
         assert_exact_terms(result, schoolbook_substitute(p, inner.components))
+
+
+# the triangular shift against schoolbook substitution
+
+
+def lower_polynomials(n, j):
+    """Rational polynomials in z_1, ..., z_{j-1} only, zero included; constants for j = 1."""
+    return st.dictionaries(
+        st.tuples(*([st.integers(0, 3)] * (j - 1))), mixed_coefficients, max_size=4
+    ).map(lambda terms: Polynomial(n, {a + (0,) * (n - j + 1): c for a, c in terms.items()}))
+
+
+def assert_shift_matches_schoolbook(components, j, g):
+    """One shift, z_j -> z_j + g, against substituting z with z_j + g in slot j."""
+    n = len(components)
+    values = [g if k == j else Polynomial.zero(n) for k in range(1, n + 1)]
+    slots = [var(n, k) + value for k, value in enumerate(values, start=1)]
+    result = PolyMap(components)._shift(values)
+    for p, shifted in zip(components, result):
+        assert_exact_terms(shifted, schoolbook_substitute(p, slots))
+        assert shifted == Polynomial(n, shifted.terms)
+        assert_canonical(shifted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.integers(1, n).flatmap(
+            lambda j: st.tuples(
+                st.lists(
+                    sparse_polynomials(n, st.integers(0, 4), max_terms=5), min_size=n, max_size=n
+                ),
+                st.just(j),
+                lower_polynomials(n, j),
+            )
+        )
+    )
+)
+def test_shift_matches_schoolbook(case):
+    assert_shift_matches_schoolbook(*case)
+
+
+def test_shift_high_exponents_and_widths():
+    # z4^52 z1 shifted by a cubic reaches degree 157, past the 7-bit floor
+    # width of n = 4; z1^100 alone keeps a result at the floor width though
+    # the degree bound of the shift (300) needs 9 bits
+    n = 4
+    components = [
+        parse_polynomial("z4^52 z1 - 2/3 z4^50 z2 + z3", n),
+        parse_polynomial("z1^100 + 1/7 z4", n),
+        Polynomial.zero(n),
+        var(n, 4),
+    ]
+    for g in ("1/2 z1^3 - 3 z1 z2", "0"):
+        assert_shift_matches_schoolbook(components, 4, parse_polynomial(g, n))
+    # n = 1: only a constant is free of z_1
+    z1_60 = parse_polynomial("z1^60 - 1", 1)
+    assert_shift_matches_schoolbook([z1_60], 1, Polynomial.constant(1, Fraction(-2, 3)))
+
+
+def test_shift_applies_a_triangular_map_in_ascending_order():
+    rng = random.Random(17)
+    for n in range(1, 5):
+        for _ in range(3):
+            f = random_poly_map(rng, n, max_degree=3, max_terms=4)
+            # values[j - 1] is free of z_j, ..., z_n: a constant for j = 1
+            values = [Polynomial.constant(n, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))]
+            for j in range(2, n + 1):
+                terms = random_polynomial(rng, j - 1).terms.items()
+                values.append(Polynomial(n, {a + (0,) * (n - j + 1): c for a, c in terms}))
+            sigma = PolyMap([var(n, j) + v for j, v in enumerate(values, start=1)])
+            assert f._shift(values) == f.compose(sigma)
 
 
 # composition

@@ -27,6 +27,8 @@ sympy = pytest.importorskip("sympy")
 
 #: the weight vectors of the benchmark's conjugacy round trip
 SOLVE_WEIGHTS = ((1, 2, 4), (1, 2, 6), (1, 3, 6), (1, 2, 3, 4), (1, 2, 3, 5))
+#: n = 5, a zero g_j inside a block, and shifts across blocks of two variables
+SHIFT_WEIGHTS = ((1, 1, 1, 1, 2), (1, 2, 2, 3))
 POOL = (Fraction(1, 3), Fraction(-3, 2), Fraction(2), Fraction(-1))
 
 
@@ -85,7 +87,7 @@ def test_invert_sigma_matches_sympy(m):
             assert [sympy.expand(e) for e in composed] == list(zs)
 
 
-@pytest.mark.parametrize("m", WEIGHT_SET + SOLVE_WEIGHTS)
+@pytest.mark.parametrize("m", WEIGHT_SET + SOLVE_WEIGHTS + SHIFT_WEIGHTS)
 @pytest.mark.parametrize("mixing", [False, True], ids=["block", "mixing"])
 def test_conjugate_matches_sympy(m, mixing):
     """conjugate(sigma, L) equals tau(L(sigma(z))), all substituted by sympy.
