@@ -8,11 +8,11 @@ when L mixes blocks, the degree can exceed the bound, and `find_violation`
 searches for an explicit witness.  The block structure also picks the
 route: a block-diagonal conjugate is built from sigma . f = L . sigma one
 component at a time, by the recursion that inverts sigma, while a mixing L
-takes (tau . L) . sigma with tau = sigma^{-1}, sigma applied one shift
-z_j -> z_j + g_j at a time, because there the recursion swells (see
-`_conjugate`).  `solve_conjugacy` goes the other way: it
-recovers (sigma, J) with sigma . f = J . sigma from f alone by solving an
-exact linear system for the finitely many admissible coefficients of g.
+takes (tau . L) . sigma with tau = sigma^{-1}, because there the recursion
+swells (see `_conjugate`); both apply sigma one shift z_j -> z_j + g_j at
+a time.  `solve_conjugacy` goes the other way: it recovers (sigma, J) with
+sigma . f = J . sigma from f alone by solving an exact linear system for
+the finitely many admissible coefficients of g.
 
 A map above the degree any conjugate can reach is rejected at once.
 Otherwise the system is first taken at a few fixed integer points, enough
@@ -113,21 +113,20 @@ def _conjugate(sigma: TriangularResonantMap, linear: LinearMap, block_diagonal: 
     There every f_j has degree at most the resonance order mu, and no
     inverse is built.  A block-mixing L pushes the f_j up to degree mu^2, and
     g_i(f_1, ...) swells before it cancels, so such an L takes
-    f = (tau . L) . sigma with tau = sigma^{-1}.  tau . L substitutes linear
-    forms, and sigma = id + g is applied by `PolyMap._shift`: z_j -> z_j + g_j
-    in ascending j, exact because g_j reads only z_1, ..., z_{j-1}, which no
-    later shift touches.  A shift makes one product per component and power
-    of z_j, where substituting L . sigma into tau makes one per term of tau:
-    1.4 to 3 times the term pairs at the benchmark's weight vectors.
-    Timed on a shared 2-vCPU host with one random sigma each, the recursion
-    against the shift route took 0.24 against 0.33 ms for a block-diagonal
-    L at weights (1,2,6), and 6.6 against 1.1 ms for a mixing one (tau .
-    (L . sigma) took 2.4 ms); 0.34 against 0.44 ms and 11.5 against 3.5 ms
-    (tau . (L . sigma) 4.8 ms) at (1,2,3,5).
+    f = (tau . L) . sigma with tau = sigma^{-1}.  Both routes apply
+    sigma = id + g by `PolyMap._shift`, z_j -> z_j + g_j in ascending j,
+    exact because g_j reads only z_1, ..., z_{j-1}, which no later shift
+    touches.  A shift makes one product per component and power of z_j,
+    where substituting L . sigma into tau makes one per term of tau: 1.4 to
+    3 times the term pairs at the benchmark's weight vectors.  Best of 25
+    rounds on a shared 2-vCPU host (sigma seed 3, L seed 4), the recursion
+    against the shift route took 0.13 against 0.25 ms for a block-diagonal L
+    at weights (1,2,6), and 5.1 against 0.9 ms for a mixing one
+    (tau . (L . sigma) 1.9 ms); 0.16 against 0.31 ms and 8.8 against 1.8 ms
+    (tau . (L . sigma) 2.9 ms) at (1,2,3,5).
     """
     if block_diagonal:
-        inner = PolyMap.from_linear(linear).compose(sigma.as_poly_map())
-        return PolyMap(_unwind(sigma, inner.components)[0])
+        return PolyMap(_unwind(sigma, PolyMap.from_linear(linear)._shift(sigma.g))[0])
     tau_l = invert_sigma(sigma).as_poly_map().compose(PolyMap.from_linear(linear))
     return tau_l._shift(sigma.g)
 
@@ -339,7 +338,7 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         for i in range(1, n + 1)
         for alpha in nonlinear_resonant_monomials(weights, i)
     ]
-    if f.total_degree() > max([1, *(sum(alpha) for _, alpha in unknowns)]) ** 2:
+    if f.total_degree() > _resonance_order(weights) ** 2:
         raise NoResonantConjugacy(
             "no triangular resonant map conjugates this map to its linear part"
         )

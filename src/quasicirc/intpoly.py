@@ -22,9 +22,10 @@ result that lost its top degree to cancellation is narrowed back by
 
 `sum_of_products` is the one general product routine and makes no
 Fraction; `shift`, which applies a triangular map z + g by one Taylor shift
-per variable, feeds the same pair loop `_accumulate`.  `evaluate` is their
-counterpart for values at a point: one integer sum per term map, and one
-Fraction.
+per variable, feeds the same pair loop `_accumulate`; through
+`PolyMap._shift` it serves `compose_sigma` and both conjugation routes.
+`evaluate` is their counterpart for values at a point: one integer sum per
+term map, and one Fraction.
 """
 
 from __future__ import annotations
@@ -131,10 +132,10 @@ def shift(n: int, parts, values) -> list:
     touches the variables of an earlier value, as a descending order would.
     A shift groups each part's terms by their exponent e of z_j, with z_j^e
     divided out, steps the powers (z_j + value)^e up once for all parts, and
-    sums group times power in one accumulation per part.  A term z^a goes to
-    degree at most sum_j a_j max(1, deg values_j), so every shift runs at the
-    width of deg P times the largest such factor, and only the results are
-    `reduced`.
+    sums group times power in one accumulation per part; a part without z_j
+    passes unchanged.  A term z^a goes to degree at most
+    sum_j a_j max(1, deg values_j), so every shift runs at the width of
+    deg P times the largest such factor, and only the results are `reduced`.
     """
     stretch = max(max(1, degree(v._num, v._width)) for v in values)
     w = width(n, stretch * max(degree(p._num, p._width) for p in parts))
@@ -151,7 +152,9 @@ def shift(n: int, parts, values) -> list:
             for key, c in num.items():
                 e = key >> at & mask
                 groups.setdefault(e, []).append((key - (e << at), c))
-            top = max(groups, default=0)
+            if not (top := max(groups, default=0)):  # no z_j in this part
+                shifted.append((num, den))
+                continue
             while len(powers) <= top:
                 powers.append(_accumulate({}, powers[-1], step, 1).items())
             acc: Dict[int, int] = {}

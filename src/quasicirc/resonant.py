@@ -7,7 +7,9 @@ every variable appearing in g_i to carry strictly smaller weight than m_i,
 which is what makes the closed-form inversion below work: the inverse is
 again of the same shape and can be built one component at a time.  The
 same recursion solves u + g(u) = b for any base b (`_unwind`); with
-b = L . sigma it gives the conjugate by a block-diagonal L.
+b = L . sigma it gives the conjugate by a block-diagonal L.  Any map is
+composed with sigma on the right by `PolyMap._shift`, as here in
+`compose_sigma`: one shift z_j -> z_j + g_j per variable.
 """
 
 from __future__ import annotations
@@ -274,21 +276,16 @@ def compose_sigma(
 ) -> TriangularResonantMap:
     """outer(inner(z)), revalidated as a triangular resonant map.
 
-    With outer = id + g and inner = id + k, the i-th component of the
-    composition is z_i + k_i + g_i(inner), so its nonlinear part is
-    k_i + g_i(inner): one substitution per component, sharing one power
-    cache, and no z_i to add and take away again.  Closure holds because
-    substituting components of weighted order m_j into an i-th resonant
-    polynomial again yields weighted order m_i.
+    With outer = id + g and inner = id + k, component i of the composition
+    is z_i + k_i + g_i(z + k), so its nonlinear part is k_i + g_i(z + k).
+    g(z + k) is one triangular shift (`PolyMap._shift`), exact because k_j
+    reads only z_1, ..., z_{j-1}.  Closure holds because substituting
+    components of weighted order m_j into an i-th resonant polynomial again
+    yields weighted order m_i.
     """
     if outer.weight != inner.weight:
         raise WeightMismatch(
             f"weight vectors differ: {outer.weight.m} vs {inner.weight.m}"
         )
-    values = inner.as_poly_map().components
-    power_cache: Dict = {}
-    parts = tuple(
-        k_i + g_i.substitute(values, _cache=power_cache)
-        for g_i, k_i in zip(outer.g, inner.g)
-    )
-    return TriangularResonantMap(outer.weight, parts)
+    shifted = PolyMap(outer.g)._shift(inner.g).components
+    return TriangularResonantMap(outer.weight, tuple(k + s for k, s in zip(inner.g, shifted)))

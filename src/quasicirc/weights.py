@@ -55,7 +55,7 @@ class WeightVector:
         entries = tuple(self.m)
         if not entries:
             raise ValueError("weight vector must be nonempty")
-        if any(not isinstance(e, int) for e in entries):
+        if any(not isinstance(e, int) or isinstance(e, bool) for e in entries):
             raise TypeError("weights must be integers")
         if any(e <= 0 for e in entries):
             raise NonPositiveWeight(f"weights must be positive, got {entries}")

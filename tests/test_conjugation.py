@@ -21,6 +21,7 @@ from quasicirc import (
     WeightVector,
     block_partition,
     check_theorem_instance,
+    compose_sigma,
     conjugate,
     find_violation,
     identity_sigma,
@@ -38,7 +39,7 @@ from quasicirc import (
 )
 from quasicirc.conjugation import _conjugate
 from quasicirc.resonant import pool_choices
-from oracles import WEIGHT_SET, series_inverse
+from oracles import WEIGHT_SET, generic_compose_sigma, series_inverse
 
 
 def var(n, j):
@@ -196,9 +197,9 @@ def test_conjugation_respects_inverses():
             assert g.compose(f) == PolyMap.identity(w.n)
 
 
-# the two routes: the triangular recursion for a block-diagonal L, and
-# (tau . L) . sigma with tau = sigma^-1, sigma applied as one shift
-# z_j -> z_j + g_j at a time, for any other L
+# the two routes: the triangular recursion on L . sigma for a block-diagonal L,
+# and (tau . L) . sigma with tau = sigma^-1 for any other L; both apply sigma
+# as one shift z_j -> z_j + g_j at a time
 
 
 @pytest.mark.parametrize("m", WEIGHT_SET)
@@ -241,6 +242,25 @@ def test_mixing_route_multiplies_fewer_term_pairs(m, monkeypatch):
     inner = PolyMap.from_linear(linear).compose(sigma.as_poly_map())
     assert f == invert_sigma(sigma).as_poly_map().compose(inner)
     assert shifted < sum(pairs)
+
+
+def test_only_the_shift_composes_with_sigma_on_the_right(monkeypatch):
+    calls = {"substitute": 0, "compose": 0, "_shift": 0}
+    for cls, name in ((Polynomial, "substitute"), (PolyMap, "compose"), (PolyMap, "_shift")):
+        def counting(*args, _method=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counting)
+    w = WeightVector((1, 2, 3, 5))
+    a, b, linear = random_sigma(w, 1), random_sigma(w, 2), random_block_diagonal_map(w, 3)
+    ab = compose_sigma(a, b)
+    assert calls == {"substitute": 0, "compose": 0, "_shift": 1}
+    # the recursion substitutes into g, but builds its base L . sigma by a shift
+    f = conjugate(a, linear)
+    assert calls["compose"] == 0 and calls["_shift"] == 2
+    monkeypatch.undo()
+    assert ab == generic_compose_sigma(a, b)
+    assert a.as_poly_map().compose(f) == PolyMap.from_linear(linear).compose(a.as_poly_map())
 
 
 def test_only_a_mixing_linear_map_builds_the_inverse(monkeypatch):

@@ -215,10 +215,11 @@ def test_compose_with_inverse_is_identity():
 
 
 # vectors whose triangular maps form a non-abelian group
-NONCOMMUTING = {(1, 2, 3), (1, 2, 4), (1, 2, 6), (1, 2, 3, 4)}
+NONCOMMUTING = {(1, 2, 3), (1, 2, 4), (1, 2, 6), (1, 2, 3, 4), (1, 1, 1, 2, 3), (1, 2, 4, 8)}
 
 
-@pytest.mark.parametrize("m", WEIGHT_SET)
+# n = 5 and mu = 8 take the shift through more variables and higher powers
+@pytest.mark.parametrize("m", WEIGHT_SET + ((1, 1, 1, 2, 3), (1, 2, 4, 8)))
 def test_compose_matches_generic_composition(m):
     w = WeightVector(m)
     identity = identity_sigma(w)

@@ -8,15 +8,20 @@ A second walk keeps `Polynomial`'s storage inside `poly` and `intpoly`:
 every other module fails on an attribute named `_num`, `_den`, `_width`,
 `_exps` or `_terms` (the packed terms, their denominator and field width,
 and the two views decoded from them), and on an import from `intpoly`.
+
+A third check reads `pyproject.toml`: the `test` extra names every module
+that a test skips itself without, so `pip install -e .[test]` runs them all.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "quasicirc").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "quasicirc").glob("*.py"))
 
 
 def violations(path):
@@ -95,3 +100,15 @@ def test_guard_catches(tmp_path, source, expected):
     found = [*violations(path), *storage_violations(path)]
     assert [v.partition(": ")[2] for v in found] == [expected]
 
+
+def test_test_extra_holds_every_skippable_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        extra = tomllib.load(handle)["project"]["optional-dependencies"]["test"]
+    skippable = {
+        name
+        for path in (ROOT / "tests").glob("*.py")
+        for name in re.findall(r"importorskip\(\"(\w+)", path.read_text(encoding="utf-8"))
+        if name not in sys.stdlib_module_names
+    }
+    assert skippable and skippable <= set(extra)

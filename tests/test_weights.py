@@ -67,6 +67,14 @@ def test_rejects_empty_and_noninteger():
         WeightVector((1, 2.0))
 
 
+@pytest.mark.parametrize("m", [(True, 2), (1, True), (True,)])
+def test_rejects_bool_weights(m):
+    # bool is an int subclass, but a kept True would serialize as JSON true,
+    # which the map readers reject
+    with pytest.raises(TypeError):
+        WeightVector(m)
+
+
 def test_weight_accessor_is_one_based():
     w = WeightVector((1, 2, 4))
     assert w.weight(3) == 4
