@@ -7,12 +7,12 @@ total degree at most the resonance order and each component is resonant;
 when L mixes blocks, the degree can exceed the bound, and `find_violation`
 searches for an explicit witness.  The block structure also picks the
 route: a block-diagonal conjugate is built from sigma . f = L . sigma one
-component at a time, by the recursion that inverts sigma, while a mixing L
-takes (tau . L) . sigma with tau = sigma^{-1}, because there the recursion
-swells (see `_conjugate`); both apply sigma one shift z_j -> z_j + g_j at
-a time.  `solve_conjugacy` goes the other way: it recovers (sigma, J) with
-sigma . f = J . sigma from f alone by solving an exact linear system for
-the finitely many admissible coefficients of g.
+component at a time, by the recursion `resonant._unwind`, while a mixing L
+takes (tau . L) . sigma with tau = sigma^{-1}, one lazy shift, because
+there the recursion swells (see `_conjugate`); both apply sigma one shift
+z_j -> z_j + g_j at a time.  `solve_conjugacy` goes the other way: it
+recovers (sigma, J) with sigma . f = J . sigma from f alone by solving an
+exact linear system for the finitely many admissible coefficients of g.
 
 A map above the degree any conjugate can reach is rejected at once.
 Otherwise the system is first taken at a few fixed integer points, enough
@@ -106,27 +106,26 @@ def _conjugate(sigma: TriangularResonantMap, linear: LinearMap, block_diagonal: 
     Two exact routes give the same map.  The conjugate f solves
     sigma . f = L . sigma, that is f + g(f) = L . sigma, so for a
     block-diagonal L it is built component by component by the recursion
-    that inverts sigma (`resonant._unwind`), with L . sigma as its base:
+    `resonant._unwind`, with L . sigma as its base:
 
         f_i = (L . sigma)_i - g_i(f_1, ..., f_{i-1}, 0, ..., 0).
 
     There every f_j has degree at most the resonance order mu, and no
     inverse is built.  A block-mixing L pushes the f_j up to degree mu^2, and
     g_i(f_1, ...) swells before it cancels, so such an L takes
-    f = (tau . L) . sigma with tau = sigma^{-1}.  Both routes apply
-    sigma = id + g by `PolyMap._shift`, z_j -> z_j + g_j in ascending j,
-    exact because g_j reads only z_1, ..., z_{j-1}, which no later shift
-    touches.  A shift makes one product per component and power of z_j,
-    where substituting L . sigma into tau makes one per term of tau: 1.4 to
-    3 times the term pairs at the benchmark's weight vectors.  Best of 25
-    rounds on a shared 2-vCPU host (sigma seed 3, L seed 4), the recursion
-    against the shift route took 0.13 against 0.25 ms for a block-diagonal L
-    at weights (1,2,6), and 5.1 against 0.9 ms for a mixing one
-    (tau . (L . sigma) 1.9 ms); 0.16 against 0.31 ms and 8.8 against 1.8 ms
-    (tau . (L . sigma) 2.9 ms) at (1,2,3,5).
+    f = (tau . L) . sigma with tau = sigma^{-1}, built by one lazy shift
+    (`invert_sigma`).  Both routes apply sigma = id + g by `PolyMap._shift`,
+    z_j -> z_j + g_j in ascending j, exact because g_j reads only
+    z_1, ..., z_{j-1}, which no later shift touches.  A shift makes one
+    product per component and power of z_j, where substituting L . sigma
+    into tau makes one per term of tau: 1.5 to 3 times the term pairs at the
+    benchmark's weight vectors.  Best of 3 x 25 rounds on a shared 2-vCPU
+    host (sigma seed 3, L seed 4), the recursion took 0.67 and 0.66 times
+    the shift route's time at (1,2,6) and (1,2,3,5) for a block-diagonal L,
+    and 7.5 and 5.4 times for a mixing one (tau . (L . sigma) 2.2 and 2.4).
     """
     if block_diagonal:
-        return PolyMap(_unwind(sigma, PolyMap.from_linear(linear)._shift(sigma.g))[0])
+        return PolyMap(_unwind(sigma, PolyMap.from_linear(linear)._shift(sigma.g)))
     tau_l = invert_sigma(sigma).as_poly_map().compose(PolyMap.from_linear(linear))
     return tau_l._shift(sigma.g)
 

@@ -23,9 +23,9 @@ result that lost its top degree to cancellation is narrowed back by
 `sum_of_products` is the one general product routine and makes no
 Fraction; `shift`, which applies a triangular map z + g by one Taylor shift
 per variable, feeds the same pair loop `_accumulate`; through
-`PolyMap._shift` it serves `compose_sigma` and both conjugation routes.
-`evaluate` is their counterpart for values at a point: one integer sum per
-term map, and one Fraction.
+`PolyMap._shift` it serves `compose_sigma`, both conjugation routes and,
+lazily, `invert_sigma`.  `evaluate` is their counterpart for values at a
+point: one integer sum per term map, and one Fraction.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def sum_of_products(n: int, products, den: int = 1) -> tuple:
     return reduced(n, acc, common * den, w)
 
 
-def shift(n: int, parts, values) -> list:
+def shift(n: int, parts, values=None, bound: int = 0) -> list:
     """(terms, d, w), canonical, of each part P as P(z + values).
 
     values[j - 1] may involve z_1, ..., z_{j-1} only, as the nonlinear parts
@@ -136,18 +136,25 @@ def shift(n: int, parts, values) -> list:
     passes unchanged.  A term z^a goes to degree at most
     sum_j a_j max(1, deg values_j), so every shift runs at the width of
     deg P times the largest such factor, and only the results are `reduced`.
+
+    With values None the shift is lazy: step j takes values[j - 1] as part
+    j shifted so far, so if part j reads z_1, ..., z_{j-1} only, the results
+    h solve h = parts(z + h).  `bound` caps every term's degree, for the width.
     """
-    stretch = max(max(1, degree(v._num, v._width)) for v in values)
-    w = width(n, stretch * max(degree(p._num, p._width) for p in parts))
+    if values is not None:
+        stretch = max(max(1, degree(v._num, v._width)) for v in values)
+        bound = stretch * max(degree(p._num, p._width) for p in parts)
+    w = width(n, bound)
     out = [(repack(p._num, n, p._width, w), p._den) for p in parts]
+    steps = out if values is None else [(repack(v._num, n, v._width, w), v._den) for v in values]
     mask = (1 << w) - 1
-    for j, value in enumerate(values):
-        if not value._num:
+    for j, at in enumerate(range(0, n * w, w)):
+        (value, d), start = steps[j], j + 1 if values is None else 0
+        if not value:
             continue
-        at, d = j * w, value._den
-        step = {**repack(value._num, n, value._width, w), 1 << at: d}.items()
+        step = {**value, 1 << at: d}.items()
         powers, shifted = [{0: 1}.items(), step], []
-        for num, den in out:
+        for num, den in out[start:]:
             groups: Dict[int, list] = {}
             for key, c in num.items():
                 e = key >> at & mask
@@ -157,11 +164,11 @@ def shift(n: int, parts, values) -> list:
                 continue
             while len(powers) <= top:
                 powers.append(_accumulate({}, powers[-1], step, 1).items())
-            acc: Dict[int, int] = {}
+            acc = {key: c * d**top for key, c in groups.pop(0, ())}
             for e, group in groups.items():
                 _accumulate(acc, group, powers[e], d ** (top - e))
             shifted.append((acc, den * d**top))
-        out = shifted
+        out[start:] = shifted
     return [reduced(n, num, den, w) for num, den in out]
 
 

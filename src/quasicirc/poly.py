@@ -371,9 +371,10 @@ class PolyMap:
             tuple(p.substitute(inner.components, _cache=cache) for p in self.components)
         )
 
-    def _shift(self, values: Sequence[Polynomial]) -> "PolyMap":
-        """self(z + values) for values_j in z_1, ..., z_{j-1}; see `intpoly.shift`."""
-        return PolyMap([Polynomial._from_ints(self.n, *t) for t in shift(self.n, self, values)])
+    def _shift(self, values: Optional[Sequence[Polynomial]], bound: int = 0) -> "PolyMap":
+        """self(z + values), or for values None the h = self(z + h); see `intpoly.shift`."""
+        shifted = shift(self.n, self, values, bound)
+        return PolyMap([Polynomial._from_ints(self.n, *t) for t in shifted])
 
     def total_degree(self) -> int:
         return max(p.total_degree() for p in self.components)

@@ -4,9 +4,9 @@ A triangular resonant map for a weight vector m is sigma = id + g where each
 nonlinear part g_i is a sum of monomials with exponent alpha in the i-th
 resonance set and total degree |alpha| >= 2.  Those two conditions force
 every variable appearing in g_i to carry strictly smaller weight than m_i,
-which is what makes the closed-form inversion below work: the inverse is
-again of the same shape and can be built one component at a time.  The
-same recursion solves u + g(u) = b for any base b (`_unwind`); with
+which is what makes the closed-form inversion below work: the inverse
+id + h is again of the same shape, and h = -g(z + h) is one lazy shift.
+The recursion `_unwind` solves u + g(u) = b for any base b; with
 b = L . sigma it gives the conjugate by a block-diagonal L.  Any map is
 composed with sigma on the right by `PolyMap._shift`, as here in
 `compose_sigma`: one shift z_j -> z_j + g_j per variable.
@@ -222,53 +222,46 @@ def random_sigma(
     return TriangularResonantMap(weights, tuple(parts))
 
 
-def _unwind(sigma: TriangularResonantMap, base: Sequence[Polynomial]) -> tuple:
+def _check_support(sigma: TriangularResonantMap) -> None:
+    """Assert, not trust, that each g_i reads only variables of weight below m_i."""
+    for i, (m_i, g_i) in enumerate(zip(sigma.weight.m, sigma.g), start=1):
+        heavy = sigma.weight.m.index(m_i)  # the weights are sorted
+        for alpha in g_i.exponents():
+            assert not any(alpha[heavy:]), f"component {i} uses a variable of weight >= {m_i}"
+
+
+def _unwind(sigma: TriangularResonantMap, base: Sequence[Polynomial]) -> list:
     """Solve u + g(u) = base for u, one component at a time.
 
-    g_i only involves variables of weight strictly below m_i, which are
-    z_1, ..., z_{i-1} since the weights are sorted, so
+    g_i reads only z_1, ..., z_{i-1} (`_check_support`), so
 
         u_i = base_i - g_i(u_1, ..., u_{i-1}, 0, ..., 0)
 
     is exact: every step is a finite polynomial substitution, with no series
     truncation.  For the same reason the substitutions share one power
     cache: g_i reads only slots that already hold their final u_j, never a
-    zero placeholder.  Returns the components u_i and the corrections
-    -g_i(u_1, ..., u_{i-1}, 0, ..., 0).
+    zero placeholder.  Base L . sigma gives the block-diagonal conjugate in
+    `conjugation`; sigma^{-1} is one lazy shift instead (`invert_sigma`).
     """
-    weights = sigma.weight
-    n = weights.n
-    slots = [Polynomial.zero(n)] * n
-    corrections = []
+    _check_support(sigma)
+    slots = [Polynomial.zero(sigma.n)] * sigma.n
     power_cache: Dict = {}
-    for i, (g_i, base_i) in enumerate(zip(sigma.g, base), start=1):
-        # The recursion zeroes out slots i..n, so g_i must not touch them;
-        # this re-derives the support restriction instead of trusting it.
-        for alpha in g_i.exponents():
-            assert all(
-                alpha[j] == 0 for j in range(n) if weights.m[j] >= weights.m[i - 1]
-            ), f"component {i} uses a variable of weight >= {weights.m[i - 1]}"
-        correction = -g_i.substitute(slots, _cache=power_cache)
-        corrections.append(correction)
-        slots[i - 1] = base_i + correction
-    return slots, corrections
+    for i, (g_i, base_i) in enumerate(zip(sigma.g, base)):
+        slots[i] = base_i - g_i.substitute(slots, _cache=power_cache)
+    return slots
 
 
 def invert_sigma(sigma: TriangularResonantMap) -> TriangularResonantMap:
-    """Exact compositional inverse, component by component.
+    """Exact compositional inverse id + h, by one lazy triangular shift.
 
-    The inverse tau = id + h solves sigma(tau) = z, that is tau + g(tau) = z,
-    so `_unwind` with base z builds it:
-
-        h_i = -g_i(tau_1, ..., tau_{i-1}, 0, ..., 0).
-
-    The same recursion, with base L . sigma, gives the block-diagonal
-    conjugate in `conjugation`.  The result is again triangular resonant
-    (the constructor re-checks).
+    sigma(id + h) = z means h = -g(z + h), and g_j reads only z_1, ...,
+    z_{j-1}: `PolyMap._shift` of -g with no values takes h_j as -g_j shifted
+    so far.  Every term keeps weighted degree m_i, so total degree at most
+    m_i / m_1 <= m_n, which fixes the width; the constructor re-checks.
     """
-    n = sigma.n
-    _, h_parts = _unwind(sigma, PolyMap.identity(n).components)
-    return TriangularResonantMap(sigma.weight, tuple(h_parts))
+    _check_support(sigma)
+    h = PolyMap([-g_j for g_j in sigma.g])._shift(None, sigma.weight.m[-1]).components
+    return TriangularResonantMap(sigma.weight, h)
 
 
 def compose_sigma(

@@ -114,6 +114,23 @@ def series_inverse(sigma, max_degree: int) -> PolyMap:
     return tau
 
 
+def unwind_inverse(sigma) -> TriangularResonantMap:
+    """Compositional inverse id + h of sigma = id + g by the substitution recursion
+
+        h_i = -g_i(z_1 + h_1, ..., z_{i-1} + h_{i-1}, 0, ..., 0),
+
+    exact because g_i reads only z_1, ..., z_{i-1}: one `substitute` per
+    component, independent of the lazy shift in `invert_sigma`.  The
+    substitutions share one power cache, since g_i reads only final slots.
+    """
+    n = sigma.n
+    slots, h, cache = [Polynomial.zero(n)] * n, [], {}
+    for i, g_i in enumerate(sigma.g):
+        h.append(-g_i.substitute(slots, _cache=cache))
+        slots[i] = Polynomial.variable(n, i + 1) + h[i]
+    return TriangularResonantMap(sigma.weight, tuple(h))
+
+
 def generic_compose_sigma(outer, inner) -> TriangularResonantMap:
     """outer(inner(z)) by the generic `PolyMap.compose`, then g_i = component_i - z_i.
 

@@ -39,7 +39,7 @@ from quasicirc import (
 )
 from quasicirc.conjugation import _conjugate
 from quasicirc.resonant import pool_choices
-from oracles import WEIGHT_SET, generic_compose_sigma, series_inverse
+from oracles import WEIGHT_SET, generic_compose_sigma, series_inverse, unwind_inverse
 
 
 def var(n, j):
@@ -258,9 +258,33 @@ def test_only_the_shift_composes_with_sigma_on_the_right(monkeypatch):
     # the recursion substitutes into g, but builds its base L . sigma by a shift
     f = conjugate(a, linear)
     assert calls["compose"] == 0 and calls["_shift"] == 2
+    # the inverse is one lazy shift, with no substitution
+    calls.update(substitute=0, _shift=0)
+    inverse = invert_sigma(a)
+    assert calls == {"substitute": 0, "compose": 0, "_shift": 1}
     monkeypatch.undo()
     assert ab == generic_compose_sigma(a, b)
     assert a.as_poly_map().compose(f) == PolyMap.from_linear(linear).compose(a.as_poly_map())
+    assert inverse == unwind_inverse(a)
+
+
+@pytest.mark.parametrize("m", SOLVE_WEIGHTS)
+def test_lazy_inverse_multiplies_fewer_term_pairs(m, monkeypatch):
+    """Term pairs, a cost that no host changes: the lazy shift against the substitutions."""
+    pairs = []
+    accumulate = quasicirc.intpoly._accumulate
+
+    def counting(acc, left, right, scale):
+        pairs.append(len(left) * len(right))
+        return accumulate(acc, left, right, scale)
+
+    monkeypatch.setattr(quasicirc.intpoly, "_accumulate", counting)
+    sigma = random_sigma(WeightVector(m), 3)
+    tau = invert_sigma(sigma)
+    shifted = sum(pairs)
+    pairs.clear()
+    assert tau == unwind_inverse(sigma)
+    assert shifted < sum(pairs)
 
 
 def test_only_a_mixing_linear_map_builds_the_inverse(monkeypatch):

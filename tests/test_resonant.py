@@ -22,7 +22,8 @@ from quasicirc import (
     random_sigma,
     resonance_profile,
 )
-from oracles import WEIGHT_SET, generic_compose_sigma, series_inverse
+from quasicirc.resonant import _unwind
+from oracles import WEIGHT_SET, generic_compose_sigma, series_inverse, unwind_inverse
 
 
 def var(n, j):
@@ -201,6 +202,40 @@ def test_invert_matches_series_oracle():
         for seed in range(5):
             s = random_sigma(w, 17 + seed)
             assert invert_sigma(s).as_poly_map() == series_inverse(s, mu * mu)
+
+
+# n = 5, mu = 8 and m_1 > 1 take the lazy shift through more steps and higher powers
+@pytest.mark.parametrize(
+    "m", WEIGHT_SET + ((1, 2, 3, 5), (1, 2, 4, 8), (1, 1, 1, 2, 3), (1, 2, 3, 5, 8),
+                       (1, 3, 5, 7, 11), (2, 3, 5, 7))
+)
+def test_invert_matches_unwind_oracle(m):
+    w = WeightVector(m)
+    for seed in range(20):
+        s = random_sigma(w, seed)
+        assert invert_sigma(s) == unwind_inverse(s)
+
+
+def test_invert_matches_unwind_oracle_on_a_rational_pool():
+    pool = (Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9), Fraction(11, 4))
+    for m in ((1, 2, 4), (1, 2, 3, 5), (1, 1, 1, 2, 3), (1, 2, 3, 5, 8), (2, 3, 5, 7)):
+        w = WeightVector(m)
+        for seed in range(5):
+            s = random_sigma(w, seed, pool)
+            assert invert_sigma(s) == unwind_inverse(s)
+
+
+def test_support_check_guards_the_inverse_and_the_recursion():
+    # maps that skip validation: g_2 reads z_2 itself, or z_1 of weight m_2
+    for m, g_2 in (((1, 2), var(2, 1) * var(2, 2)), ((1, 1), var(2, 1) ** 2)):
+        bad = object.__new__(TriangularResonantMap)
+        object.__setattr__(bad, "weight", WeightVector(m))
+        object.__setattr__(bad, "g", (Polynomial.zero(2), g_2))
+        message = f"component 2 uses a variable of weight >= {m[1]}"
+        with pytest.raises(AssertionError, match=message):
+            invert_sigma(bad)
+        with pytest.raises(AssertionError, match=message):
+            _unwind(bad, PolyMap.identity(2).components)
 
 
 # composition and group structure
