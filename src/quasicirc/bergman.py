@@ -114,6 +114,7 @@ def check_sigma_jacobian_structure(sigma: TriangularResonantMap) -> JacobianStru
     weights = sigma.weight
     n = weights.n
     partition = block_partition(weights)
+    pattern = admissibility_pattern(weights).entries
     sigma_map = sigma.as_poly_map()
     jacobian = tuple(
         tuple(sigma_map.components[i - 1].derivative(j) for j in range(1, n + 1))
@@ -134,7 +135,7 @@ def check_sigma_jacobian_structure(sigma: TriangularResonantMap) -> JacobianStru
                         f"entry ({i}, {j}) must vanish on or above the block diagonal"
                     )
                 continue
-            allowed = set(admissible_exponents(weights, i, j))
+            allowed = set(pattern[i - 1][j - 1])
             for alpha in entry.exponents():
                 if alpha not in allowed:
                     violations.append(

@@ -84,9 +84,6 @@ def _load_linear(path: str) -> LinearMap:
     data = _read_json(path)
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ParseError(f"{path}: expected a row-major array of rows")
-    if any(isinstance(entry, bool) for row in data for entry in row):
-        # JSON true/false decode to bools, which Fraction reads as 1 and 0
-        raise ParseError(f"{path}: expected numbers, got a boolean")
     try:
         return LinearMap.from_string_rows(data)
     except (ValueError, TypeError, ZeroDivisionError) as exc:

@@ -16,7 +16,8 @@ exact linear system for the finitely many admissible coefficients of g.
 
 A map above the degree any conjugate can reach is rejected at once.
 Otherwise the system is first taken at a few fixed integer points, enough
-for each diagonal block of J, where it has about as many rows as unknowns.
+for each diagonal block of J and for each component's unknowns, where it
+has about as many rows as unknowns.
 Each point row is a linear combination of the rows that match coefficients
 monomial by monomial, so an inconsistent point system proves that no sigma
 exists, and a unique point solution is the only candidate, which one exact
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -48,25 +50,20 @@ from .poly import Polynomial, PolyMap, _evaluate_at
 from .resonant import (
     DEFAULT_POOL,
     TriangularResonantMap,
+    _inverse_part,
     _unwind,
-    invert_sigma,
     make_sigma,
     nonlinear_resonant_monomials,
     pool_choices,
     random_sigma,
 )
-from .weights import BlockPartition, WeightVector, block_partition, resonance_set
+from .weights import BlockPartition, WeightVector, block_partition, resonance_profile
 
 
 def _subseed(seed: int, index: int) -> int:
     # per-trial seed, a pure function of (seed, index) so trial streams are
     # prefix-stable and order-independent
     return (seed * 1_000_003 + index) & ((1 << 63) - 1)
-
-
-def _resonance_order(weights: WeightVector) -> int:
-    """The resonance order mu, read from the sets the weight vector keeps."""
-    return max(max(map(sum, resonance_set(weights, i))) for i in range(1, weights.n + 1))
 
 
 def is_block_diagonal(linear: LinearMap, partition: BlockPartition) -> bool:
@@ -87,15 +84,14 @@ def conjugate(sigma: TriangularResonantMap, linear: LinearMap) -> PolyMap:
     A block-diagonal L takes the triangular recursion, any other L the
     shifts of tau . L with tau = sigma^{-1}; see `_conjugate`.
     """
-    _check_conjugable(sigma, linear)
+    _check_conjugable(sigma.n, linear)
     return _conjugate(sigma, linear, is_block_diagonal(linear, block_partition(sigma.weight)))
 
 
-def _check_conjugable(sigma: TriangularResonantMap, linear: LinearMap) -> None:
-    if linear.n != sigma.n:
-        raise DimensionMismatch(
-            f"matrix is {linear.n}x{linear.n}, map has dimension {sigma.n}"
-        )
+def _check_conjugable(n: int, linear: LinearMap) -> None:
+    """Reject an L that is not an invertible n-by-n matrix."""
+    if linear.n != n:
+        raise DimensionMismatch(f"matrix is {linear.n}x{linear.n}, expected dimension {n}")
     if linear.determinant() == 0:
         raise SingularLinearMap("conjugation needs an invertible linear map")
 
@@ -113,8 +109,9 @@ def _conjugate(sigma: TriangularResonantMap, linear: LinearMap, block_diagonal: 
     There every f_j has degree at most the resonance order mu, and no
     inverse is built.  A block-mixing L pushes the f_j up to degree mu^2, and
     g_i(f_1, ...) swells before it cancels, so such an L takes
-    f = (tau . L) . sigma with tau = sigma^{-1}, built by one lazy shift
-    (`invert_sigma`).  Both routes apply sigma = id + g by `PolyMap._shift`,
+    f = (tau . L) . sigma with tau = sigma^{-1} = id + h, h by one lazy
+    shift (`resonant._inverse_part`, with no revalidation), so tau . L is
+    L + h . L.  Both routes apply sigma = id + g by `PolyMap._shift`,
     z_j -> z_j + g_j in ascending j, exact because g_j reads only
     z_1, ..., z_{j-1}, which no later shift touches.  A shift makes one
     product per component and power of z_j, where substituting L . sigma
@@ -126,8 +123,9 @@ def _conjugate(sigma: TriangularResonantMap, linear: LinearMap, block_diagonal: 
     """
     if block_diagonal:
         return PolyMap(_unwind(sigma, PolyMap.from_linear(linear)._shift(sigma.g)))
-    tau_l = invert_sigma(sigma).as_poly_map().compose(PolyMap.from_linear(linear))
-    return tau_l._shift(sigma.g)
+    l_map = PolyMap.from_linear(linear)
+    h_l = PolyMap(_inverse_part(sigma)).compose(l_map)
+    return PolyMap([l_i + h_i for l_i, h_i in zip(l_map, h_l)])._shift(sigma.g)
 
 
 @dataclass(frozen=True)
@@ -154,10 +152,10 @@ def check_theorem_instance(
         raise WeightMismatch(
             f"weight vectors differ: {weights.m} vs {sigma.weight.m}"
         )
-    _check_conjugable(sigma, linear)
+    _check_conjugable(weights.n, linear)
     block_diagonal = is_block_diagonal(linear, block_partition(weights))
     result = _conjugate(sigma, linear, block_diagonal)
-    mu = _resonance_order(weights)
+    mu = resonance_profile(weights).order
     degree = result.total_degree()
     flags = tuple(
         result.components[i - 1].is_i_resonant(weights, i)
@@ -189,17 +187,12 @@ def find_violation(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if linear.n != weights.n:
-        raise DimensionMismatch(
-            f"matrix is {linear.n}x{linear.n}, weights have dimension {weights.n}"
-        )
-    if linear.determinant() == 0:
-        raise SingularLinearMap("violation search needs an invertible linear map")
+    _check_conjugable(weights.n, linear)
     if is_block_diagonal(linear, block_partition(weights)):
         raise BlockDiagonalInput(
             "block-diagonal maps never exceed the resonance order"
         )
-    mu = _resonance_order(weights)
+    mu = resonance_profile(weights).order
     for trial in range(trials):
         candidate = random_sigma(weights, _subseed(seed, trial), pool)
         if _conjugate(candidate, linear, block_diagonal=False).total_degree() > mu:
@@ -230,7 +223,7 @@ def quasi_resonance_estimate(
     """Estimate the maximal conjugate degree by seeded random sampling."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    mu = _resonance_order(weights)
+    mu = resonance_profile(weights).order
     partition = block_partition(weights)
     observed = 0
     for trial in range(trials):
@@ -309,7 +302,8 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     (the largest degree of an unknown monomial, or 1), so every conjugate
     sigma^{-1} . J . sigma has degree at most mu^2, and a map of higher
     degree is rejected at once.  Otherwise the system is solved first at a
-    few integer points (see `_point_count`), and one of three things
+    few integer points, enough for each diagonal block of J and for each
+    component's unknowns (see `_point_count`), and one of three things
     follows:
 
     - the point system is inconsistent: NoResonantConjugacy.  Every point
@@ -320,8 +314,9 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
       the point system, so this is the only candidate.  The exact residual
       conjugate(sigma, J) == f, equivalent to sigma . f == J . sigma because
       sigma is invertible, accepts it or proves NoResonantConjugacy;
-    - it leaves free unknowns: the coefficient system is built and solved,
-      which gives the exact free_parameters, with the free ones set to zero.
+    - it leaves free unknowns (the coefficient system has them too, or the
+      points were unlucky): only then is the coefficient system built and
+      solved, which gives the exact free_parameters, the free ones zero.
     """
     if f.n != weights.n:
         raise DimensionMismatch(
@@ -337,7 +332,7 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         for i in range(1, n + 1)
         for alpha in nonlinear_resonant_monomials(weights, i)
     ]
-    if f.total_degree() > _resonance_order(weights) ** 2:
+    if f.total_degree() > resonance_profile(weights).order ** 2:
         raise NoResonantConjugacy(
             "no triangular resonant map conjugates this map to its linear part"
         )
@@ -406,21 +401,28 @@ def _point_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
 
 
 def _point_count(j_matrix: LinearMap, unknowns: list) -> int:
-    """Points enough for each diagonal block of J: ceil(K_B / |B|) + 1.
+    """Points enough for each diagonal block of J and for each component.
 
-    An unknown of component k appears only in the rows of k's block B, so
+    An unknown of component c appears only in the rows of c's block B, so
     the K_B unknowns of B need ceil(K_B / |B|) points to be fixed, and one
     more point checks consistency.  The blocks are the finest contiguous
-    ones that J is block-diagonal in.
+    ones that J is block-diagonal in.  At one point, c's unknowns fill row c
+    and, in every other row i, J[i][c] times one vector (p^alpha_k), so they
+    span r_c = 1 row when column c of J is zero off the diagonal, 2
+    otherwise, and need ceil(K_c / r_c) points.  That term takes no extra
+    point: a unique candidate still has to pass the exact residual.
     """
     rows = j_matrix.rows
     n = len(rows)
+    per_component = Counter(comp for comp, _ in unknowns)
     count, start, end = 1, 0, 0
     for i in range(n):
         # the block that holds i reaches the furthest index i is linked to
         end = max(end, i, *(j for j in range(n) if rows[i][j] or rows[j][i]))
+        spans = 1 + any(rows[j][i] for j in range(n) if j != i)
+        count = max(count, -(-per_component[i + 1] // spans))
         if end == i:
-            k = sum(start < comp <= i + 1 for comp, _ in unknowns)
+            k = sum(per_component[c] for c in range(start + 1, i + 2))
             count = max(count, -(-k // (i + 1 - start)) + 1)
             start = i + 1
     return count

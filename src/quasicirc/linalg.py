@@ -4,6 +4,12 @@ Everything here takes and returns `fractions.Fraction`s; there are no
 tolerances anywhere, and singularity/inconsistency detection is exact.
 Both eliminations run on Python ints inside.
 
+Two routines own the package's rational boundary.  `as_fraction` is the way
+in: every rational the library accepts passes through it, and it rejects a
+float or a bool (a JSON true or false) with `TypeError`.  `exact_text` is
+the way out: every writer prints an exact rational through it, and it turns
+an integer past `sys.get_int_max_str_digits()` into `BudgetExceeded`.
+
 `solve_exact` is the one linear solver, and `LinearMap.inverse` solves for
 its columns with it.  `LinearMap.determinant` clears each row's
 denominators and runs Bareiss's fraction-free elimination (Math. Comp. 22,
@@ -26,12 +32,21 @@ def as_fraction(value) -> Fraction:
 
     A Fraction is immutable and already exact, so it is returned as given.
     Floats are rejected: they would silently break the exactness contract.
+    So are bools, which `Fraction` would read as 1 and 0.
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError(f"exact rational required, got float {value!r}")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"exact rational required, got {type(value).__name__} {value!r}")
     return Fraction(value)
+
+
+def exact_text(value) -> str:
+    """`str(value)`, or BudgetExceeded past `sys.get_int_max_str_digits()`."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise BudgetExceeded(f"number too long to print: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -103,10 +118,7 @@ class LinearMap:
 
     def to_string_rows(self) -> list:
         """Rows as 'p/q' strings, the wire format used by the CLI."""
-        try:
-            return [[str(x) for x in row] for row in self.rows]
-        except ValueError as exc:  # past sys.get_int_max_str_digits()
-            raise BudgetExceeded(f"entry too long to print: {exc}") from None
+        return [[exact_text(x) for x in row] for row in self.rows]
 
     @classmethod
     def from_string_rows(cls, rows: Iterable[Iterable]) -> "LinearMap":

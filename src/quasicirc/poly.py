@@ -41,11 +41,11 @@ from operator import lshift
 from types import MappingProxyType
 from typing import Dict, KeysView, List, Mapping, Optional, Sequence
 
-from .errors import BudgetExceeded, DimensionMismatch, DoesNotFixOrigin
+from .errors import DimensionMismatch, DoesNotFixOrigin
 from .errors import IndexOutOfRange, ParseError
 from .intpoly import degree, evaluate as evaluate_terms, over_lcm, reduced, repack
 from .intpoly import shift, sum_of_products, unpack, width
-from .linalg import LinearMap, as_fraction
+from .linalg import LinearMap, as_fraction, exact_text
 from .weights import MultiIndex, WeightVector, weighted_degree
 
 
@@ -484,10 +484,7 @@ def format_polynomial(p: Polynomial) -> str:
         coeff = p.terms[alpha]
         factors = [f"z{j}^{e}" if e > 1 else f"z{j}" for j, e in enumerate(alpha, start=1) if e]
         if abs(coeff) != 1 or not factors:
-            try:
-                factors.insert(0, str(abs(coeff)))
-            except ValueError as exc:  # past sys.get_int_max_str_digits()
-                raise BudgetExceeded(f"coefficient too long to print: {exc}") from None
+            factors.insert(0, exact_text(abs(coeff)))
         body = " ".join(factors)
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")

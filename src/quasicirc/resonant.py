@@ -14,14 +14,12 @@ composed with sigma on the right by `PolyMap._shift`, as here in
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     EmptyPool,
     NotNonlinear,
@@ -29,7 +27,7 @@ from .errors import (
     ParseError,
     WeightMismatch,
 )
-from .linalg import as_fraction
+from .linalg import as_fraction, exact_text
 from .poly import Polynomial, PolyMap
 from .weights import (
     MultiIndex,
@@ -144,41 +142,28 @@ class TriangularResonantMap:
         for i, part in enumerate(self.g, start=1):
             if part.is_zero():
                 continue
-            try:
-                g_obj[str(i)] = {
-                    ",".join(str(a) for a in alpha): str(part.terms[alpha])
-                    for alpha in sorted(part.terms)
-                }
-            except ValueError as exc:  # past sys.get_int_max_str_digits()
-                raise BudgetExceeded(f"coefficient too long to print: {exc}") from None
+            g_obj[str(i)] = {
+                ",".join(str(a) for a in alpha): exact_text(part.terms[alpha])
+                for alpha in sorted(part.terms)
+            }
         return {"weights": list(self.weight.m), "g": g_obj}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TriangularResonantMap":
         try:
-            raw_weights = data["weights"]
-            raw_g = data.get("g", {})
-            entries = tuple(operator.index(_not_bool(w)) for w in raw_weights)
+            weights = WeightVector(data["weights"])
             coeffs = {}
-            for key, part in raw_g.items():
+            for key, part in data.get("g", {}).items():
                 i = int(key)
                 for alpha_text, coeff_text in part.items():
                     alpha = tuple(int(a) for a in alpha_text.split(","))
-                    coeffs[(i, alpha)] = as_fraction(_not_bool(coeff_text))
+                    coeffs[(i, alpha)] = as_fraction(coeff_text)
         except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed triangular map object: {exc}") from exc
-        return make_sigma(WeightVector(entries), coeffs)
+        return make_sigma(weights, coeffs)
 
     def __str__(self) -> str:
         return str(self.as_poly_map())
-
-
-def _not_bool(value):
-    # JSON true/false decode to bools, which operator.index and Fraction
-    # read as 1 and 0
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {str(value).lower()}")
-    return value
 
 
 def make_sigma(weights: WeightVector, coeffs: Mapping) -> TriangularResonantMap:
@@ -251,17 +236,21 @@ def _unwind(sigma: TriangularResonantMap, base: Sequence[Polynomial]) -> list:
     return slots
 
 
-def invert_sigma(sigma: TriangularResonantMap) -> TriangularResonantMap:
-    """Exact compositional inverse id + h, by one lazy triangular shift.
+def _inverse_part(sigma: TriangularResonantMap) -> tuple:
+    """h with sigma^{-1} = id + h, by one lazy triangular shift, unvalidated.
 
     sigma(id + h) = z means h = -g(z + h), and g_j reads only z_1, ...,
     z_{j-1}: `PolyMap._shift` of -g with no values takes h_j as -g_j shifted
     so far.  Every term keeps weighted degree m_i, so total degree at most
-    m_i / m_1 <= m_n, which fixes the width; the constructor re-checks.
+    m_i / m_1 <= m_n, which fixes the width.
     """
     _check_support(sigma)
-    h = PolyMap([-g_j for g_j in sigma.g])._shift(None, sigma.weight.m[-1]).components
-    return TriangularResonantMap(sigma.weight, h)
+    return PolyMap([-g_j for g_j in sigma.g])._shift(None, sigma.weight.m[-1]).components
+
+
+def invert_sigma(sigma: TriangularResonantMap) -> TriangularResonantMap:
+    """Exact compositional inverse id + h, h by `_inverse_part`; the constructor re-checks."""
+    return TriangularResonantMap(sigma.weight, _inverse_part(sigma))
 
 
 def compose_sigma(

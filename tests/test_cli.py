@@ -193,17 +193,6 @@ def test_overlong_numeral_in_map_exits_two(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.fixture
-def int_string_limit():
-    """CPython's default int-string limit, whatever the environment set."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("no limit on int-string conversion")
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(previous)
-
-
 def test_overlong_result_is_a_budget_error(capsys, tmp_path, int_string_limit):
     # a valid input whose conjugate squares a 3000-digit coefficient
     sigma = tmp_path / "sigma.json"

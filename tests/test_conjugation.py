@@ -289,8 +289,8 @@ def test_lazy_inverse_multiplies_fewer_term_pairs(m, monkeypatch):
 
 def test_only_a_mixing_linear_map_builds_the_inverse(monkeypatch):
     inversions, block_tests = [], []
-    invert, block_test = quasicirc.conjugation.invert_sigma, is_block_diagonal
-    monkeypatch.setattr(quasicirc.conjugation, "invert_sigma",
+    invert, block_test = quasicirc.conjugation._inverse_part, is_block_diagonal
+    monkeypatch.setattr(quasicirc.conjugation, "_inverse_part",
                         lambda s: inversions.append(s) or invert(s))
     monkeypatch.setattr(quasicirc.conjugation, "is_block_diagonal",
                         lambda *args: block_tests.append(args) or block_test(*args))
@@ -561,6 +561,24 @@ def test_rank_deficient_points_fall_back_to_coefficients(monkeypatch):
     assert seen == [(12, 12, 3), (2, 2, 3)]
 
 
+def test_mixing_solve_at_n5_stays_on_the_point_path(monkeypatch):
+    # component 5 holds 13 of the 21 unknowns and spans two rows a point,
+    # so it needs ceil(13 / 2) = 7 points, one more than the single block's
+    # ceil(21 / 5) + 1, with which the solve fell back to the full
+    # coefficient system
+    seen = record_systems(monkeypatch)
+
+    def no_fallback(*args):
+        raise AssertionError("the point system left unknowns free")
+
+    monkeypatch.setattr(quasicirc.conjugation, "_coefficient_system", no_fallback)
+    w = WeightVector((1, 2, 3, 5, 8))
+    f = conjugate(random_sigma(w, 1), random_linear_map(w.n, 101))
+    solution = solve_conjugacy(f, w)
+    assert solution.residual_zero and solution.free_parameters == 0
+    assert seen == [(35, 35, 21)]
+
+
 def test_solve_rejects_the_only_candidate_by_its_residual(monkeypatch):
     # J is one block, so two points of three rows; but only the third row of
     # each sees the two unknowns of component 3 (J[1][3] = J[2][3] = 0), so
@@ -590,6 +608,11 @@ def differential_cases():
         yield bumped(f, w), w
         yield PolyMap.identity(w.n), w
     yield PolyMap.from_linear(LinearMap(((2, 0), (0, 4)))), W12
+    # one component holds all ten unknowns, which span two rows a point, so
+    # the one mixed block's ceil(10 / 5) + 1 = 3 points cannot fix them
+    w = WeightVector((1, 1, 1, 1, 2))
+    for seed in range(2):
+        yield conjugate(random_sigma(w, seed), random_linear_map(w.n, seed + 100)), w
 
 
 def solve_outcome(f, weights):

@@ -10,8 +10,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasicirc import LinearMap, SingularLinearMap, random_linear_map, solve_exact
-from quasicirc.linalg import as_fraction
+from quasicirc import (
+    BudgetExceeded,
+    LinearMap,
+    SingularLinearMap,
+    random_linear_map,
+    solve_exact,
+)
+from quasicirc.linalg import as_fraction, exact_text
 
 
 def rref_reference(rows, rhs, n_cols):
@@ -240,3 +246,19 @@ def test_as_fraction_makes_a_fraction_subclass_plain():
 def test_as_fraction_rejects_floats(value):
     with pytest.raises(TypeError):
         as_fraction(value)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_as_fraction_rejects_bools(value):
+    # a JSON true or false, which Fraction would read as 1 or 0
+    with pytest.raises(TypeError, match="bool"):
+        as_fraction(value)
+
+
+def test_exact_text_names_the_budget_error(int_string_limit):
+    edge = 10 ** (int_string_limit - 1)  # the longest that still prints
+    assert exact_text(Fraction(-edge, 3)) == f"-{edge}/3"
+    with pytest.raises(BudgetExceeded):
+        exact_text(10 ** int_string_limit)
+    with pytest.raises(BudgetExceeded):
+        exact_text(Fraction(1, 10 ** int_string_limit))
