@@ -15,15 +15,13 @@ recovers (sigma, J) with sigma . f = J . sigma from f alone by solving an
 exact linear system for the finitely many admissible coefficients of g.
 
 A map above the degree any conjugate can reach is rejected at once.
-Otherwise the system is first taken at a few fixed integer points, enough
-for each diagonal block of J and for each component's unknowns, where it
-has about as many rows as unknowns.
-Each point row is a linear combination of the rows that match coefficients
-monomial by monomial, so an inconsistent point system proves that no sigma
-exists, and a unique point solution is the only candidate, which one exact
-conjugation accepts or rejects.  Points that leave a direction unseen (a
-free parameter, or unlucky points) send the solve to the full coefficient
-system, whose free count is exact; see Schwartz, J. ACM 27(4), 1980, and
+Otherwise the system is taken only at fixed integer points: enough for each
+diagonal block of J and each component's unknowns, about as many rows as
+unknowns, and then one more point at a time while they leave more unknowns
+free than J's own system g . J = J . g, the one coefficient system built.
+Then an inconsistent point system proves that no sigma exists, and the
+point solution with its free unknowns zero is the candidate that one exact
+conjugation accepts or rejects; see Schwartz, J. ACM 27(4), 1980, and
 Zippel, EUROSAM 1979, on why generic points lose no rank.
 """
 
@@ -34,11 +32,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BlockDiagonalInput,
+    BudgetExceeded,
     DimensionMismatch,
     NoResonantConjugacy,
     SingularLinearMap,
@@ -280,15 +280,18 @@ def random_block_diagonal_map(
 class ConjugacySolution:
     """A linearizing pair: sigma . f = linear . sigma, verified exactly.
 
-    When the underlying linear system is underdetermined, free coefficients
-    are set to zero, so sigma is one valid choice among a
-    free_parameters-dimensional family.
+    residual_zero is true on every returned solution.  The solutions form
+    a free_parameters-dimensional family, as many as J's commutant among
+    the maps id + g, and sigma is the one with the free coefficients zero.
     """
 
     sigma: TriangularResonantMap
     linear: LinearMap
     residual_zero: bool
     free_parameters: int
+
+
+_NO_SIGMA = "no triangular resonant map conjugates this map to its linear part"
 
 
 def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
@@ -301,22 +304,27 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     triangular resonant, of total degree at most the resonance order mu
     (the largest degree of an unknown monomial, or 1), so every conjugate
     sigma^{-1} . J . sigma has degree at most mu^2, and a map of higher
-    degree is rejected at once.  Otherwise the system is solved first at a
-    few integer points, enough for each diagonal block of J and for each
-    component's unknowns (see `_point_count`), and one of three things
-    follows:
+    degree is rejected at once.
 
-    - the point system is inconsistent: NoResonantConjugacy.  Every point
-      row is a linear combination of the coefficient rows (the rows that
-      match coefficients monomial by monomial), so those are inconsistent
-      too;
-    - it has one solution: any solution of the coefficient system solves
-      the point system, so this is the only candidate.  The exact residual
-      conjugate(sigma, J) == f, equivalent to sigma . f == J . sigma because
-      sigma is invertible, accepts it or proves NoResonantConjugacy;
-    - it leaves free unknowns (the coefficient system has them too, or the
-      points were unlucky): only then is the coefficient system built and
-      solved, which gives the exact free_parameters, the free ones zero.
+    Otherwise the system is taken at integer points: enough for each
+    diagonal block of J and each component's unknowns (`_point_count`),
+    then one more at a time while more unknowns are free than in J's own
+    system g . J = J . g (`_coefficient_system`).  Every point row is a
+    linear combination of the coefficient rows, which match sigma . f and
+    J . sigma monomial by monomial, so the point solutions contain theirs.
+    If sigma_0 solves f, psi -> psi . sigma_0 is a polynomial bijection,
+    with polynomial inverse, from the solutions for J onto those for f, so
+    the coefficient rows leave J's free count.  Once the counts agree, the
+    two systems share their solutions and reduced row echelon form, and:
+
+    - an inconsistent point system means NoResonantConjugacy;
+    - otherwise sigma, the free unknowns zero, is the candidate.  The exact
+      residual conjugate(sigma, J) == f, equivalent to sigma . f == J . sigma
+      because sigma is invertible, accepts it or proves NoResonantConjugacy.
+
+    Generic points lose no rank, but fixed ones can: if K + 1 points past
+    `_point_count`, for K unknowns, still leave more free than J's count,
+    the solve raises BudgetExceeded.
     """
     if f.n != weights.n:
         raise DimensionMismatch(
@@ -333,56 +341,51 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         for alpha in nonlinear_resonant_monomials(weights, i)
     ]
     if f.total_degree() > resonance_profile(weights).order ** 2:
-        raise NoResonantConjugacy(
-            "no triangular resonant map conjugates this map to its linear part"
-        )
-    solved = solve_exact(*_point_system(f, j_matrix, unknowns), len(unknowns))
-    unique = solved is not None and not solved[1]
-    if solved and solved[1]:
-        # unknowns free at these points: only the coefficient system counts
-        # the free parameters exactly
-        solved = solve_exact(*_coefficient_system(f, j_matrix, unknowns), len(unknowns))
-    if solved is None:
-        raise NoResonantConjugacy(
-            "no triangular resonant map conjugates this map to its linear part"
-        )
+        raise NoResonantConjugacy(_NO_SIGMA)
+    points = _point_rows(f, j_matrix, unknowns)
+    rows: List[List[int]] = []
+    rhs: List[int] = []
+    commutant = None
+    # the `_point_count` points, then one point at a time, at most K + 1 more
+    for extra in range(len(unknowns) + 2):
+        for point_rows, point_rhs in islice(points, 1 if extra else _point_count(j_matrix, unknowns)):
+            rows += point_rows
+            rhs += point_rhs
+        solved = solve_exact(rows, rhs, len(unknowns))
+        if solved is None:
+            raise NoResonantConjugacy(_NO_SIGMA)
+        if solved[1] and commutant is None:
+            commutant = _coefficient_system(j_matrix, unknowns)
+        if not solved[1] or solved[1] <= commutant:
+            break
+    else:
+        raise BudgetExceeded(f"{len(unknowns) + 1} more points left more free than J's system")
     solution, free_count = solved
-    sigma = make_sigma(
-        weights,
-        {key: value for key, value in zip(unknowns, solution) if value},
-    )
-    block_diagonal = is_block_diagonal(j_matrix, block_partition(weights))
-    residual_zero = _conjugate(sigma, j_matrix, block_diagonal) == f
-    if unique and not residual_zero:
+    sigma = make_sigma(weights, {key: value for key, value in zip(unknowns, solution) if value})
+    if _conjugate(sigma, j_matrix, is_block_diagonal(j_matrix, block_partition(weights))) != f:
         raise NoResonantConjugacy(
             "the only candidate map does not conjugate this map to its linear part"
         )
-    return ConjugacySolution(
-        sigma=sigma,
-        linear=j_matrix,
-        residual_zero=residual_zero,
-        free_parameters=free_count,
-    )
+    return ConjugacySolution(sigma, j_matrix, residual_zero=True, free_parameters=free_count)
 
 
-def _point_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
-    """Rows and right-hand sides of sigma . f = J . sigma at fixed points.
+def _point_rows(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> Iterator[tuple]:
+    """Rows and right-hand sides of sigma . f = J . sigma, n at each point.
 
     At a point p, row i holds [comp_k == i] f(p)^alpha_k - J[i][comp_k] p^alpha_k
     for each unknown (comp_k, alpha_k), with right-hand side (J p)_i - f_i(p).
-    The points are the same for every solve: a fresh seeded stream of integer
-    coordinates in [-1000, 1000].  Each point's f(p), f(p)^alpha_k and J are
-    put over one positive denominator, so its rows are that multiple of these
-    rows, in integers; `solve_exact` scales every row to a primitive one.
+    The points are the same for every solve: an endless seeded stream of
+    integer coordinates in [-1000, 1000].  Each point's f(p), f(p)^alpha_k
+    and J are put over one positive denominator, so its rows are that
+    multiple of these rows, in integers; `solve_exact` scales every row to a
+    primitive one.
     """
     n = f.n
     monomials = [Polynomial.monomial(n, alpha) for _, alpha in unknowns]
     j_den = lcm(*(x.denominator for row in j_matrix.rows for x in row))
     j_int = [[x.numerator * (j_den // x.denominator) for x in row] for row in j_matrix.rows]
     rng = random.Random(12345)
-    rows: List[List[int]] = []
-    rhs: List[int] = []
-    for _ in range(_point_count(j_matrix, unknowns)):
+    while True:
         point = [rng.randint(-1000, 1000) for _ in range(n)]
         # f_1(p), ..., f_n(p), then the integer p^alpha_k for each unknown
         values = _evaluate_at([*f.components, *monomials], point)
@@ -390,6 +393,8 @@ def _point_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
         image = values[:n] + _evaluate_at(monomials, values[:n])
         den = lcm(j_den, *(v.denominator for v in image))
         image = [v.numerator * (den // v.denominator) for v in image]
+        rows: List[List[int]] = []
+        rhs: List[int] = []
         for i in range(1, n + 1):
             j_row = [x * (den // j_den) for x in j_int[i - 1]]
             rows.append([
@@ -397,7 +402,7 @@ def _point_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
                 for (comp, _), value, plain in zip(unknowns, image[n:], values[n:])
             ])
             rhs.append(sum(map(operator.mul, j_row, point)) - image[i - 1])
-    return rows, rhs
+        yield rows, rhs
 
 
 def _point_count(j_matrix: LinearMap, unknowns: list) -> int:
@@ -428,31 +433,24 @@ def _point_count(j_matrix: LinearMap, unknowns: list) -> int:
     return count
 
 
-def _coefficient_system(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> tuple:
-    """Rows and right-hand sides of sigma . f = J . sigma, one per monomial."""
-    n = f.n
-    j_poly = PolyMap.from_linear(j_matrix)
+def _coefficient_system(j_matrix: LinearMap, unknowns: list) -> int:
+    """The free count of g . J = J . g over the unknowns: J's commutant.
+
+    These are the rows of sigma . f = J . sigma for f = J, one per component
+    and monomial, with zero right-hand sides: unknown (comp, alpha) puts
+    (J z)^alpha into component comp and -J[i][comp] z^alpha into each
+    component i.  J is linear, so nothing is substituted above degree mu.
+    """
+    n = j_matrix.n
+    j_forms = PolyMap.from_linear(j_matrix).components
     power_cache: Dict = {}
-    f_powers = [
-        Polynomial.monomial(n, alpha).substitute(f.components, _cache=power_cache)
-        for _, alpha in unknowns
-    ]
-    zero = Polynomial.zero(n)
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    absent = Fraction(0)
-    # affine expression per component: base_i + sum_k column_k * c_k == 0, where
-    # column_k is f^alpha_k (in component comp_k only) minus J[i][comp_k] z^alpha_k
-    for i in range(1, n + 1):
-        j_row = j_matrix.rows[i - 1]
-        col_terms = []
-        for (comp, alpha), f_alpha in zip(unknowns, f_powers):
-            column = f_alpha if comp == i else zero
-            if j_row[comp - 1]:
-                column = column + Polynomial.monomial(n, alpha, -j_row[comp - 1])
-            col_terms.append(column.terms)
-        base = (f.components[i - 1] - j_poly.components[i - 1]).terms
-        for beta in sorted(set(base).union(*col_terms)):
-            rows.append([terms.get(beta, absent) for terms in col_terms])
-            rhs.append(-base.get(beta, absent))
-    return rows, rhs
+    columns = []
+    for comp, alpha in unknowns:
+        image = Polynomial.monomial(n, alpha).substitute(j_forms, _cache=power_cache)
+        column = {(comp, beta): c for beta, c in image.terms.items()}
+        for i, row in enumerate(j_matrix.rows, start=1):
+            if row[comp - 1]:
+                column[i, alpha] = column.get((i, alpha), 0) - row[comp - 1]
+        columns.append(column)
+    rows = [[column.get(key, 0) for column in columns] for key in set().union(*columns)]
+    return solve_exact(rows, [0] * len(rows), len(unknowns))[1]

@@ -14,7 +14,19 @@ from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import Dict
 
-from quasicirc import ParseError, Polynomial, PolyMap, TriangularResonantMap, WeightVector
+from quasicirc import (
+    ConjugacySolution,
+    NoResonantConjugacy,
+    ParseError,
+    Polynomial,
+    PolyMap,
+    TriangularResonantMap,
+    WeightVector,
+    conjugate,
+    make_sigma,
+    nonlinear_resonant_monomials,
+    solve_exact,
+)
 from quasicirc.weights import MultiIndex
 
 # the fixed weight-vector set used by map-level property and acceptance tests
@@ -143,6 +155,46 @@ def generic_compose_sigma(outer, inner) -> TriangularResonantMap:
         composed.components[i - 1] - Polynomial.variable(n, i) for i in range(1, n + 1)
     )
     return TriangularResonantMap(outer.weight, parts)
+
+
+def coefficient_solve(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
+    """`solve_conjugacy` by matching sigma . f = J . sigma monomial by monomial.
+
+    The unknowns are the nonlinear resonant coefficients of g, and each one
+    contributes f^alpha (substituted symbolically) to its own component and
+    -J[i][comp] z^alpha to every component i; every coefficient of the
+    difference must vanish.  This system counts the free parameters exactly
+    and takes no points, so it checks the point path.  Free unknowns are set
+    to zero, and the residual is one exact conjugation.
+    """
+    n = f.n
+    j_matrix = f.linear_part()
+    j_forms = PolyMap.from_linear(j_matrix).components
+    unknowns = [
+        (i, alpha) for i in range(1, n + 1) for alpha in nonlinear_resonant_monomials(weights, i)
+    ]
+    cache: Dict = {}
+    f_powers = [
+        Polynomial.monomial(n, alpha).substitute(f.components, _cache=cache) for _, alpha in unknowns
+    ]
+    rows, rhs = [], []
+    for i in range(1, n + 1):
+        j_row = j_matrix.rows[i - 1]
+        columns = [
+            ((f_alpha if comp == i else Polynomial.zero(n))
+             - Polynomial.monomial(n, alpha, j_row[comp - 1])).terms
+            for (comp, alpha), f_alpha in zip(unknowns, f_powers)
+        ]
+        base = (f.components[i - 1] - j_forms[i - 1]).terms
+        for beta in sorted(set(base).union(*columns)):
+            rows.append([terms.get(beta, 0) for terms in columns])
+            rhs.append(-base.get(beta, 0))
+    solved = solve_exact(rows, rhs, len(unknowns))
+    if solved is None:
+        raise NoResonantConjugacy("the coefficient system is inconsistent")
+    solution, free = solved
+    sigma = make_sigma(weights, {key: value for key, value in zip(unknowns, solution) if value})
+    return ConjugacySolution(sigma, j_matrix, conjugate(sigma, j_matrix) == f, free)
 
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 5) -> Polynomial:

@@ -97,6 +97,11 @@ GOLDEN_CASES = [
     ),
     ("quasi_order_12.json", 0, ("quasi-order", "--weights", "1,2", "--trials", "16", "--seed", "1")),
     ("solve_12.json", 0, ("solve", "--weights", "1,2", "--map", str(DATA / "map_solvable.txt"))),
+    (
+        "solve_free_112.json",
+        0,
+        ("solve", "--weights", "1,1,2", "--map", str(DATA / "map_free_112.txt")),
+    ),
     ("bergman_122.json", 0, ("bergman", "--weights", "1,2,2")),
     ("error_notcoprime.json", 1, ("resonance", "--weights", "2,4")),
 ]

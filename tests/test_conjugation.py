@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import quasicirc.conjugation
 import quasicirc.intpoly
 from quasicirc import (
     BlockDiagonalInput,
+    BudgetExceeded,
     DEFAULT_POOL,
     DimensionMismatch,
     DoesNotFixOrigin,
@@ -21,6 +23,7 @@ from quasicirc import (
     WeightVector,
     block_partition,
     check_theorem_instance,
+    cli,
     compose_sigma,
     conjugate,
     find_violation,
@@ -39,7 +42,13 @@ from quasicirc import (
 )
 from quasicirc.conjugation import _conjugate
 from quasicirc.resonant import pool_choices
-from oracles import WEIGHT_SET, generic_compose_sigma, series_inverse, unwind_inverse
+from oracles import (
+    WEIGHT_SET,
+    coefficient_solve,
+    generic_compose_sigma,
+    series_inverse,
+    unwind_inverse,
+)
 
 
 def var(n, j):
@@ -546,37 +555,89 @@ def test_solve_rejects_a_map_above_the_degree_bound(monkeypatch):
     assert seen == []
 
 
-def test_rank_deficient_points_fall_back_to_coefficients(monkeypatch):
-    seen = record_systems(monkeypatch)
+def test_rank_deficient_points_add_points_up_to_js_free_count(monkeypatch):
     # under diag(2, 3, 4) at weights (1, 1, 2) the monomial z1^2 is resonant
     # (4 = 2 * 2), so its coefficient is free and the other two are fixed
     w = WeightVector((1, 1, 2))
     sigma = make_sigma(w, {(3, (1, 1, 0)): 1, (3, (0, 2, 0)): -2})
     f = conjugate(sigma, LinearMap(((2, 0, 0), (0, 3, 0), (0, 0, 4))))
+    seen = record_systems(monkeypatch)
     solution = solve_conjugacy(f, w)
     assert solution.sigma == sigma
     assert solution.residual_zero
     assert solution.free_parameters == 1
-    # the point system, then the coefficient system
-    assert seen == [(12, 12, 3), (2, 2, 3)]
+    # the points leave one unknown free, so J's own system is solved, one
+    # row per monomial (J z)^alpha, and its free count 1 ends the solve
+    assert seen == [(12, 12, 3), (3, 3, 3)]
+    # from one point, which fixes one of the three unknowns, one point more
+    # brings the free count down to J's
+    seen.clear()
+    monkeypatch.setattr(quasicirc.conjugation, "_point_count", lambda *args: 1)
+    assert solve_conjugacy(f, w) == solution
+    assert seen == [(3, 3, 3), (3, 3, 3), (6, 6, 3)]
 
 
 def test_mixing_solve_at_n5_stays_on_the_point_path(monkeypatch):
     # component 5 holds 13 of the 21 unknowns and spans two rows a point,
     # so it needs ceil(13 / 2) = 7 points, one more than the single block's
-    # ceil(21 / 5) + 1, with which the solve fell back to the full
-    # coefficient system
+    # ceil(21 / 5) + 1, with which the points left unknowns free
     seen = record_systems(monkeypatch)
 
-    def no_fallback(*args):
-        raise AssertionError("the point system left unknowns free")
+    def no_commutant(*args):
+        raise AssertionError("a unique point solution needed J's free count")
 
-    monkeypatch.setattr(quasicirc.conjugation, "_coefficient_system", no_fallback)
+    monkeypatch.setattr(quasicirc.conjugation, "_coefficient_system", no_commutant)
     w = WeightVector((1, 2, 3, 5, 8))
     f = conjugate(random_sigma(w, 1), random_linear_map(w.n, 101))
     solution = solve_conjugacy(f, w)
     assert solution.residual_zero and solution.free_parameters == 0
     assert seen == [(35, 35, 21)]
+
+
+def test_points_that_gain_no_rank_exceed_the_budget(monkeypatch, capsys):
+    w = WeightVector((1, 2, 3, 5))
+    f = conjugate(random_sigma(w, 5), random_linear_map(w.n, 6))
+    point_rows = quasicirc.conjugation._point_rows
+    # a stream that repeats its first point
+    monkeypatch.setattr(
+        quasicirc.conjugation, "_point_rows", lambda *args: repeat(next(point_rows(*args)))
+    )
+    seen = record_systems(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        solve_conjugacy(f, w)
+    # one point's 4 rows fix at most 4 of the 8 unknowns, against J's 0
+    # free: the first 3 points, J's system (one row per component and
+    # monomial of its dense (J z)^alpha), then K + 1 = 9 points more
+    assert seen == [(12, 12, 8), (176, 176, 8), *((4 * k, 4 * k, 8) for k in range(4, 13))]
+    # the CLI exits 1 on it, as on every QuasicircError
+    data = Path(__file__).parent / "data" / "map_free_112.txt"
+    assert cli.run(["solve", "--weights", "1,1,2", "--map", str(data)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "BudgetExceeded"}
+
+
+def test_solve_substitutes_nothing_into_the_map(monkeypatch):
+    # J's linear forms are substituted for its own system; f is only
+    # evaluated at points
+    text = (Path(__file__).parent / "data" / "map_free_112.txt").read_text(encoding="utf-8")
+    w = WeightVector((1, 2, 3, 5))
+    cases = [
+        (parse_poly_map(text), WeightVector((1, 1, 2))),
+        (conjugate(random_sigma(w, 1), lower_mixing(w)), w),
+        (conjugate(random_sigma(w, 5), random_linear_map(w.n, 6)), w),
+    ]
+    substitute = Polynomial.substitute
+    values_seen = []
+
+    def recording(self, values, _cache=None):
+        values_seen.append(tuple(values))
+        return substitute(self, values, _cache=_cache)
+
+    monkeypatch.setattr(Polynomial, "substitute", recording)
+    for f, weights in cases:
+        solve_conjugacy(f, weights)
+    # the two free solves substitute J's forms, and nothing substitutes f
+    assert values_seen
+    assert not any(f.components in values_seen for f, _ in cases)
 
 
 def test_solve_rejects_the_only_candidate_by_its_residual(monkeypatch):
@@ -597,6 +658,12 @@ def bumped(f, weights):
     return PolyMap(f.components[:-1] + (f.components[-1] + bump,))
 
 
+def lower_mixing(w):
+    """diag(2^m_i) plus ones below the diagonal: mixing, with free parameters."""
+    return LinearMap([[2 ** m_i if i == j else int(j == i - 1) for j in range(w.n)]
+                      for i, m_i in enumerate(w.m)])
+
+
 def differential_cases():
     """(f, weights): mixing and block-diagonal conjugates, bumped, and free families."""
     for m in SOLVE_WEIGHTS:
@@ -613,38 +680,36 @@ def differential_cases():
     w = WeightVector((1, 1, 1, 1, 2))
     for seed in range(2):
         yield conjugate(random_sigma(w, seed), random_linear_map(w.n, seed + 100)), w
+    # free families at n = 5, with 1 to 25 free parameters, and each bumped
+    for m in ((1, 2, 3, 5, 8), (1, 1, 2, 3, 5)):
+        w = WeightVector(m)
+        scaling = LinearMap([[2 ** m_i * (i == j) for j in range(w.n)] for i, m_i in enumerate(m)])
+        for f in (
+            PolyMap.identity(w.n),
+            conjugate(random_sigma(w, 0), scaling),
+            conjugate(random_sigma(w, 7), random_block_diagonal_map(w, 8)),
+        ):
+            yield f, w
+            yield bumped(f, w), w
+    # a lower-triangular mixing J with diagonal 2^m_i leaves 2 free parameters
+    w = WeightVector((1, 2, 3, 5))
+    yield PolyMap.from_linear(lower_mixing(w)), w
+    yield conjugate(random_sigma(w, 1), lower_mixing(w)), w
 
 
-def solve_outcome(f, weights):
+def solve_outcome(solve, f, weights):
     try:
-        solution = solve_conjugacy(f, weights)
+        solution = solve(f, weights)
     except NoResonantConjugacy:
         return NoResonantConjugacy
     return solution.sigma, solution.linear, solution.residual_zero, solution.free_parameters
 
 
-def test_point_system_agrees_with_coefficient_system(monkeypatch):
-    coefficient_system = quasicirc.conjugation._coefficient_system
-    fell_back = []
-
-    def recording(*args):
-        fell_back.append(True)
-        return coefficient_system(*args)
-
-    monkeypatch.setattr(quasicirc.conjugation, "_coefficient_system", recording)
+def test_point_system_agrees_with_coefficient_system():
     paths = set()
     for f, w in differential_cases():
-        fell_back.clear()
-        outcome = solve_outcome(f, w)
-        # only unknowns that are free in the coefficient system too leave the
-        # point path: the identity, diag(2, 4), and the resonant eigenvalues
-        # random_block_diagonal_map draws at some weights
-        free = outcome is not NoResonantConjugacy and outcome[3] > 0
-        assert fell_back == [True] * free
-        paths.add(free)
-        with monkeypatch.context() as patch:
-            # no point rows leave every unknown free, so the coefficient
-            # system alone decides
-            patch.setattr(quasicirc.conjugation, "_point_system", lambda *args: ([], []))
-            assert solve_outcome(f, w) == outcome
-    assert paths == {False, True}
+        outcome = solve_outcome(solve_conjugacy, f, w)
+        # the oracle matches coefficients monomial by monomial, at no point
+        assert outcome == solve_outcome(coefficient_solve, f, w)
+        paths.add("none" if outcome is NoResonantConjugacy else "free" if outcome[3] else "unique")
+    assert paths == {"none", "free", "unique"}
