@@ -32,7 +32,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, tee
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,7 +46,7 @@ from .errors import (
     WeightMismatch,
 )
 from .linalg import LinearMap, solve_exact
-from .poly import Polynomial, PolyMap, _evaluate_at
+from .poly import Polynomial, PolyMap, _evaluate_at, _monomials_at
 from .resonant import (
     DEFAULT_POOL,
     TriangularResonantMap,
@@ -375,33 +375,33 @@ def _point_rows(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> Iterator[tup
     At a point p, row i holds [comp_k == i] f(p)^alpha_k - J[i][comp_k] p^alpha_k
     for each unknown (comp_k, alpha_k), with right-hand side (J p)_i - f_i(p).
     The points are the same for every solve: an endless seeded stream of
-    integer coordinates in [-1000, 1000].  Each point's f(p), f(p)^alpha_k
-    and J are put over one positive denominator, so its rows are that
-    multiple of these rows, in integers; `solve_exact` scales every row to a
-    primitive one.
+    integer coordinates in [-1000, 1000].  f's columns are read once per
+    solve, and f(p) comes as integers y over den, the lcm of f's denominators.
+    With top = max |alpha_k| (1 with no unknowns), den^top f(p)^alpha_k is
+    y^alpha_k den^(top - |alpha_k|) and den^top f_i(p) is den^(top - 1) y_i,
+    so each row here is the row above times j_den den^top, for the lcm j_den
+    of J's denominators: a positive multiple, which `solve_exact` scales to
+    the same primitive row, and no Fraction is made.
     """
     n = f.n
-    monomials = [Polynomial.monomial(n, alpha) for _, alpha in unknowns]
+    comps, exponents = [comp for comp, _ in unknowns], [alpha for _, alpha in unknowns]
+    top = max(map(sum, exponents), default=1)
     j_den = lcm(*(x.denominator for row in j_matrix.rows for x in row))
     j_int = [[x.numerator * (j_den // x.denominator) for x in row] for row in j_matrix.rows]
     rng = random.Random(12345)
-    while True:
-        point = [rng.randint(-1000, 1000) for _ in range(n)]
-        # f_1(p), ..., f_n(p), then the integer p^alpha_k for each unknown
-        values = _evaluate_at([*f.components, *monomials], point)
-        # f_1(p), ..., f_n(p), then f(p)^alpha_k, as numerators over den
-        image = values[:n] + _evaluate_at(monomials, values[:n])
-        den = lcm(j_den, *(v.denominator for v in image))
-        image = [v.numerator * (den // v.denominator) for v in image]
+    points, stream = tee(iter(lambda: [rng.randint(-1000, 1000) for _ in range(n)], None))
+    for point, (y, den) in zip(points, _evaluate_at(f.components, stream)):
+        plain = _monomials_at(exponents, point, 1, top)
+        lifted = [j_den * value for value in _monomials_at(exponents, y, den, top)]
         rows: List[List[int]] = []
         rhs: List[int] = []
-        for i in range(1, n + 1):
-            j_row = [x * (den // j_den) for x in j_int[i - 1]]
+        for i, (j_row, y_i) in enumerate(zip(j_int, y), start=1):
+            j_row = [x * den**top for x in j_row]
             rows.append([
-                (value if comp == i else 0) - j_row[comp - 1] * plain.numerator
-                for (comp, _), value, plain in zip(unknowns, image[n:], values[n:])
+                (value if comp == i else 0) - j_row[comp - 1] * p_alpha
+                for comp, value, p_alpha in zip(comps, lifted, plain)
             ])
-            rhs.append(sum(map(operator.mul, j_row, point)) - image[i - 1])
+            rhs.append(sum(map(operator.mul, j_row, point)) - j_den * den ** (top - 1) * y_i)
         yield rows, rhs
 
 

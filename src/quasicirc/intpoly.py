@@ -24,13 +24,12 @@ result that lost its top degree to cancellation is narrowed back by
 Fraction; `shift`, which applies a triangular map z + g by one Taylor shift
 per variable, feeds the same pair loop `_accumulate`; through
 `PolyMap._shift` it serves `compose_sigma`, both conjugation routes and,
-lazily, `invert_sigma`.  `evaluate` is their counterpart for values at a
-point: one integer sum per term map, and one Fraction.
+lazily, `invert_sigma`.  `evaluate`, over `products`, is their counterpart
+for values at a stream of points, read from the packed keys; no Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Dict
@@ -172,24 +171,38 @@ def shift(n: int, parts, values=None, bound: int = 0) -> list:
     return [reduced(n, num, den, w) for num, den in out]
 
 
-def evaluate(terms: Dict, common: int, point, den: int, powers: Dict) -> Fraction:
-    """Value of terms / common at the point (x_1/den, ..., x_n/den), on Python ints.
+def evaluate(n: int, parts, points, den: int = 1):
+    """(numerators, d) of the values of term maps at each of a stream of points.
 
-    terms holds integer numerators keyed by exponent tuples, decoded once
-    per polynomial and not per point, and point the integers x_j.  Every
-    term is made homogeneous of the map's total degree D with a power of
-    den, so the value is one integer sum over (common * den^D).  The terms
-    are multiplied column by column, one variable at a time.  `powers`
-    caches x_j^e under (j, e), and den^e under (n, e), for the exponents
-    that occur, each taken by repeated squaring; term maps evaluated at the
-    same point share it.
+    Each part is (num, d, w) as `Polynomial` stores it, and a point holds
+    integers x_j read as x_j / den.  The columns are read from the keys once
+    per stream, column j as key >> (j - 1) w & mask and a term's degree as
+    key mod 2^w - 1, and no exponent tuple is built.  Every term is made
+    homogeneous of the top degree D with a power of den, so a point yields
+    one integer sum of `products` per part, over d = lcm(d's) * den^D.
     """
-    if not terms:
-        return Fraction(0)
-    degrees = [*map(sum, terms)]
-    top = max(degrees)
-    columns = [*zip(*terms)] + ([[top - d for d in degrees]] if den != 1 else [])
-    bases, values = [*point, den], terms.values()
+    common = lcm(*(d for _, d, _ in parts))
+    top = max((degree(num, w) for num, _, w in parts), default=0)
+    readers = []
+    for num, d, w in parts:
+        mask, keys, scale = (1 << w) - 1, num.keys(), common // d
+        columns = [[key >> at & mask for key in keys] for at in range(0, n * w, w)]
+        if den != 1:
+            columns.append([top - key % mask for key in keys])
+        readers.append(([c * scale for c in num.values()], columns))
+    common *= den**top
+    for point in points:
+        bases, powers = [*point, den], {}
+        yield [sum(products(v, columns, bases, powers)) for v, columns in readers], common
+
+
+def products(values, columns, bases, powers: Dict):
+    """values[k] times the product of bases[j] ** columns[j][k] over j, for each k.
+
+    Every value at a point goes through here, a term map's or a list of
+    monomials', one column at a time.  `powers` caches bases[j] ** e under
+    (j, e), for the exponents that occur; calls at the same bases share it.
+    """
     for j, column in enumerate(columns):
         table = {}
         for e in set(column):
@@ -197,7 +210,7 @@ def evaluate(terms: Dict, common: int, point, den: int, powers: Dict) -> Fractio
                 powers[j, e] = bases[j] ** e
             table[e] = powers[j, e]
         values = map(mul, values, map(table.__getitem__, column))
-    return Fraction(sum(values), common * den**top)
+    return values
 
 
 def _accumulate(acc: Dict[int, int], left, right, scale: int) -> Dict[int, int]:

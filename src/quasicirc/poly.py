@@ -20,12 +20,12 @@ take and return this form.  Sums, negation, derivatives and the
 degree work on the packed keys, and repack them only when widths differ or
 a top degree cancelled; a one-term power raises its key as key * e.  The
 readers that need exponent tuples (`exponents()`, `terms`, `coefficient()`,
-the weighted-degree readers, `substitute`'s outer loop and values at a
-point through `_evaluate_at`) share one decode per polynomial, made on
-first use and kept.  `terms` is a read-only Fraction view built on it.
-Every public result still gives Fractions.  Only this module and `intpoly`
-know the storage: the package's other modules go through `exponents()`,
-`terms` and `_evaluate_at`.
+the weighted-degree readers and `substitute`'s outer loop) share one decode
+per polynomial, made on first use and kept.  `terms` is a read-only
+Fraction view built on it.  Values at points (`_evaluate_at`) read the
+packed keys instead.  Every public result still gives Fractions.  Only this
+module and `intpoly` know the storage: the package's other modules go
+through `exponents()`, `terms`, `_evaluate_at` and `_monomials_at`.
 
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, with exact rational literals `p/q`.  The syntax is
@@ -39,12 +39,12 @@ from fractions import Fraction
 from math import lcm
 from operator import lshift
 from types import MappingProxyType
-from typing import Dict, KeysView, List, Mapping, Optional, Sequence
+from typing import Dict, KeysView, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, DoesNotFixOrigin
 from .errors import IndexOutOfRange, ParseError
-from .intpoly import degree, evaluate as evaluate_terms, over_lcm, reduced, repack
-from .intpoly import shift, sum_of_products, unpack, width
+from .intpoly import degree, evaluate, over_lcm, reduced, repack
+from .intpoly import products, shift, sum_of_products, unpack, width
 from .linalg import LinearMap, as_fraction, exact_text
 from .weights import MultiIndex, WeightVector, weighted_degree
 
@@ -249,7 +249,11 @@ class Polynomial:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point, put over one common denominator."""
-        return _evaluate_at([self], point)[0]
+        numerators, den = over_lcm(dict(enumerate(map(as_fraction, point))))
+        if len(numerators) != self.n:
+            raise DimensionMismatch(f"point has length {len(numerators)}, expected {self.n}")
+        (value,), d = next(_evaluate_at([self], [numerators.values()], den))
+        return Fraction(value, d)
 
     __call__ = evaluate
 
@@ -312,20 +316,20 @@ class Polynomial:
         return f"Polynomial({self.n}, {self!s})"
 
 
-def _evaluate_at(polys: Sequence[Polynomial], point: Sequence) -> List[Fraction]:
-    """Exact values of several polynomials at one rational point.
+def _evaluate_at(polys: Sequence[Polynomial], points, den=1):
+    """(numerators, d) of the polynomials' values at each of a stream of points.
 
-    The coordinates are put over one common denominator once, and the
-    polynomials share one power cache, so each power of a coordinate is
-    taken once for all of them.
+    A point holds integers x_j, read as x_j / den (see `intpoly.evaluate`).
+    Each polynomial's columns are read from its packed keys once for the
+    whole stream, and no exponent tuple is decoded.
     """
-    values = [as_fraction(v) for v in point]
-    for p in polys:
-        if len(values) != p.n:
-            raise DimensionMismatch(f"point has length {len(values)}, expected {p.n}")
-    numerators, den = over_lcm(dict(enumerate(values)))
-    coordinates, powers = [*numerators.values()], {}
-    return [evaluate_terms(p._decoded(), p._den, coordinates, den, powers) for p in polys]
+    return evaluate(polys[0].n, [(p._num, p._den, p._width) for p in polys], points, den)
+
+
+def _monomials_at(exponents, point, den, top):
+    """x^alpha den^(top - |alpha|) for each exponent tuple alpha (top >= |alpha|) at integers x."""
+    columns = [*zip(*exponents), [top - sum(a) for a in exponents]]
+    return [*products([1] * len(exponents), columns, [*point, den], {})]
 
 
 class PolyMap:

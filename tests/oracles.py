@@ -7,12 +7,13 @@ inversion) so the tests never check an implementation against itself.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import gcd
-from typing import Dict
+from math import gcd, lcm, prod
+from typing import Dict, Iterator, List
 
 from quasicirc import (
     ConjugacySolution,
@@ -196,6 +197,57 @@ def coefficient_solve(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     sigma = make_sigma(weights, {key: value for key, value in zip(unknowns, solution) if value})
     return ConjugacySolution(sigma, j_matrix, conjugate(sigma, j_matrix) == f, free)
 
+
+
+def fraction_values_at(polys, point) -> list:
+    """The polynomials' values at one rational point, one power per factor of a term.
+
+    Each polynomial's decoded terms are put over the lcm of their
+    denominators, so at an integer point the sum stays in integers and one
+    Fraction is made per polynomial.
+    """
+    values = []
+    for p in polys:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        total = sum(
+            c.numerator * (den // c.denominator) * prod(map(pow, point, alpha))
+            for alpha, c in p.terms.items()
+        )
+        values.append(Fraction(total) / den)
+    return values
+
+
+def reference_point_rows(f: PolyMap, j_matrix, unknowns: list) -> Iterator[tuple]:
+    """The point rows of sigma . f = J . sigma, each point's over one denominator.
+
+    The library's rows before they were built from packed keys, kept verbatim
+    but for `fraction_values_at` in place of its Fraction evaluator: the same
+    seeded point stream, and each point's rows are that point's Fraction
+    rows times the lcm of J's denominators and every Fraction in them.
+    """
+    n = f.n
+    monomials = [Polynomial.monomial(n, alpha) for _, alpha in unknowns]
+    j_den = lcm(*(x.denominator for row in j_matrix.rows for x in row))
+    j_int = [[x.numerator * (j_den // x.denominator) for x in row] for row in j_matrix.rows]
+    rng = random.Random(12345)
+    while True:
+        point = [rng.randint(-1000, 1000) for _ in range(n)]
+        # f_1(p), ..., f_n(p), then the integer p^alpha_k for each unknown
+        values = fraction_values_at([*f.components, *monomials], point)
+        # f_1(p), ..., f_n(p), then f(p)^alpha_k, as numerators over den
+        image = values[:n] + fraction_values_at(monomials, values[:n])
+        den = lcm(j_den, *(v.denominator for v in image))
+        image = [v.numerator * (den // v.denominator) for v in image]
+        rows: List[List[int]] = []
+        rhs: List[int] = []
+        for i in range(1, n + 1):
+            j_row = [x * (den // j_den) for x in j_int[i - 1]]
+            rows.append([
+                (value if comp == i else 0) - j_row[comp - 1] * plain.numerator
+                for (comp, _), value, plain in zip(unknowns, image[n:], values[n:])
+            ])
+            rhs.append(sum(map(operator.mul, j_row, point)) - image[i - 1])
+        yield rows, rhs
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 5) -> Polynomial:
     """A small random polynomial for algebraic-law checks."""

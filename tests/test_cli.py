@@ -102,6 +102,11 @@ GOLDEN_CASES = [
         0,
         ("solve", "--weights", "1,1,2", "--map", str(DATA / "map_free_112.txt")),
     ),
+    (
+        "solve_mixing_1235.json",
+        0,
+        ("solve", "--weights", "1,2,3,5", "--map", str(DATA / "map_mixing_1235.txt")),
+    ),
     ("bergman_122.json", 0, ("bergman", "--weights", "1,2,2")),
     ("error_notcoprime.json", 1, ("resonance", "--weights", "2,4")),
 ]

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from quasicirc import (
     invert_sigma,
     is_block_diagonal,
     make_sigma,
+    nonlinear_resonant_monomials,
     parse_poly_map,
     quasi_resonance_estimate,
     random_block_diagonal_map,
@@ -40,12 +41,14 @@ from quasicirc import (
     solve_conjugacy,
     solve_exact,
 )
-from quasicirc.conjugation import _conjugate
+from quasicirc.conjugation import _conjugate, _point_rows
+from quasicirc.linalg import _integral, _primitive
 from quasicirc.resonant import pool_choices
 from oracles import (
     WEIGHT_SET,
     coefficient_solve,
     generic_compose_sigma,
+    reference_point_rows,
     series_inverse,
     unwind_inverse,
 )
@@ -713,3 +716,59 @@ def test_point_system_agrees_with_coefficient_system():
         assert outcome == solve_outcome(coefficient_solve, f, w)
         paths.add("none" if outcome is NoResonantConjugacy else "free" if outcome[3] else "unique")
     assert paths == {"none", "free", "unique"}
+
+
+def row_cases():
+    """(f, weights) whose point rows are checked against the Fraction rows."""
+    for m in SOLVE_WEIGHTS:
+        w = WeightVector(m)
+        yield conjugate(random_sigma(w, 3), random_linear_map(w.n, 4)), w
+        f = conjugate(random_sigma(w, 7), random_block_diagonal_map(w, 8))
+        yield f, w
+        yield bumped(f, w), w
+    w = WeightVector((1, 2, 3, 5, 8))
+    yield conjugate(random_sigma(w, 1), random_linear_map(w.n, 101)), w
+    # rational coefficients in f, and a J whose denominators' lcm is 4 * 7 * 9
+    w = WeightVector((1, 2, 4))
+    pool = (Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9), Fraction(11, 4))
+    yield conjugate(random_sigma(w, 2, pool), random_linear_map(w.n, 5, pool)), w
+    # component denominators 2, 4, 4 and 32 under a J with halves
+    text = (Path(__file__).parent / "data" / "map_mixing_1235.txt").read_text(encoding="utf-8")
+    yield parse_poly_map(text), WeightVector((1, 2, 3, 5))
+    # no unknowns: every row is empty but for its right-hand side
+    yield PolyMap.from_linear(random_linear_map(3, 9)), WeightVector((1, 1, 1))
+
+
+def first_rows(stream, points=6):
+    """The rows [A | b] of the first points, each primitive, and the sign it was scaled by."""
+    out = []
+    for rows, rhs in islice(stream, points):
+        for row, b in zip(rows, rhs):
+            vector = _integral([*row, b])
+            out.append((_primitive(vector), next((x > 0 for x in vector if x), None)))
+    return out
+
+
+def test_point_rows_are_positive_multiples_of_the_fraction_rows():
+    dens = set()
+    for f, w in row_cases():
+        j_matrix = f.linear_part()
+        unknowns = [(i, a) for i in range(1, w.n + 1) for a in nonlinear_resonant_monomials(w, i)]
+        expected = first_rows(reference_point_rows(f, j_matrix, unknowns))
+        assert first_rows(_point_rows(f, j_matrix, unknowns)) == expected
+        dens.add(max(x.denominator for row in j_matrix.rows for x in row))
+    assert max(dens) > 2
+
+
+@pytest.mark.parametrize("m", [(1, 1), (1, 1, 1)])
+def test_solve_with_no_unknowns(m):
+    # equal weights leave no nonlinear resonant monomial, so sigma is the
+    # identity and each point row is empty but for its right-hand side
+    w = WeightVector(m)
+    assert not any(nonlinear_resonant_monomials(w, i) for i in range(1, w.n + 1))
+    linear = random_linear_map(w.n, 9)
+    assert all(x for row in linear.rows for x in row)  # J mixes every component
+    solution = solve_conjugacy(PolyMap.from_linear(linear), w)
+    assert solution.sigma.is_identity()
+    assert solution.linear == linear
+    assert solution.residual_zero and solution.free_parameters == 0

@@ -2,10 +2,10 @@ import inspect
 import random
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasicirc import (
     DimensionMismatch,
@@ -20,8 +20,8 @@ from quasicirc import (
     parse_poly_map,
     parse_polynomial,
 )
-from quasicirc.intpoly import width
-from quasicirc.poly import _evaluate_at
+from quasicirc.intpoly import DIGIT_BITS, width
+from quasicirc.poly import _evaluate_at, _monomials_at
 from oracles import (
     random_poly_map,
     random_polynomial,
@@ -618,22 +618,94 @@ def test_evaluate():
 
 @st.composite
 def polynomials_and_points(draw):
-    """A polynomial with exponents up to 40 and a point with mixed denominators."""
-    n = draw(st.integers(1, 4))
-    p = draw(polynomials(n, max_degree=draw(st.sampled_from([0, 3, 40]))))
+    """A polynomial with exponents up to 90 and a point with mixed denominators.
+
+    At n = 4 and 5 an exponent of 90 can take the total degree past
+    2^(DIGIT_BITS // n) - 1, so the keys are wider than one CPython digit.
+    """
+    n = draw(st.integers(1, 5))
+    p = draw(polynomials(n, max_degree=draw(st.sampled_from([0, 3, 40, 90]))))
     coordinate = st.fractions(min_value=-7, max_value=7, max_denominator=draw(st.sampled_from([1, 5])))
     return p, draw(st.lists(coordinate, min_size=n, max_size=n))
 
 
+def values_at(polys, point):
+    """The polynomials' values at one rational point, through the integer stream."""
+    den = lcm(*(v.denominator for v in point))
+    numerators = [v.numerator * (den // v.denominator) for v in point]
+    values, d = next(_evaluate_at(polys, [numerators], den))
+    return [Fraction(v, d) for v in values]
+
+
+WIDE = Polynomial(5, {(90, 0, 3, 0, 1): Fraction(-3, 2), (0, 2, 0, 0, 0): 5, (0, 0, 0, 0, 0): 1})
+
+
 @given(polynomials_and_points())
+@example((WIDE, [Fraction(1, 5), Fraction(-2), Fraction(3, 5), Fraction(7), Fraction(-1, 5)]))
 def test_evaluate_matches_schoolbook(case):
     p, point = case
     assert p.evaluate(point) == schoolbook_evaluate(p, point)
     assert p.evaluate([str(v) for v in point]) == schoolbook_evaluate(p, point)
-    # several polynomials with unlike denominators share one power cache
+    # several polynomials with unlike denominators and degrees share one power cache
     polys = [p, p * Fraction(2, 3) + Fraction(1, 5), p * p * Fraction(-5, 7), Polynomial.zero(p.n)]
-    for at in (point, [v.numerator for v in point]):
-        assert _evaluate_at(polys, at) == [schoolbook_evaluate(q, at) for q in polys]
+    for at in (point, [Fraction(v.numerator) for v in point]):
+        assert values_at(polys, at) == [schoolbook_evaluate(q, at) for q in polys]
+
+
+def test_the_wide_example_has_keys_wider_than_one_digit():
+    assert WIDE._width > DIGIT_BITS // WIDE.n
+
+
+def test_evaluate_decodes_no_exponent_tuple():
+    z = [var(3, j) for j in (1, 2, 3)]
+    p = (z[0] + 2 * z[1] - Fraction(1, 3) * z[2]) ** 4 + z[0] * z[2]
+    assert p._exps is None
+    value = p.evaluate((2, Fraction(-1, 2), 5))
+    values = values_at([p, p * p], [Fraction(1), Fraction(2), Fraction(3)])
+    assert p._exps is None
+    # the oracle reads the terms, which decodes them
+    assert value == schoolbook_evaluate(p, (2, Fraction(-1, 2), 5))
+    assert values == [schoolbook_evaluate(q, (1, 2, 3)) for q in (p, p * p)]
+
+
+class CountingTerms(dict):
+    """A term map that counts how often its keys and its values are read."""
+
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.reads = 0
+
+    def keys(self):
+        self.reads += 1
+        return super().keys()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+
+def test_a_stream_of_points_reads_each_polynomial_once():
+    z1, z2 = var(2, 1), var(2, 2)
+    polys = [(z1 - 3 * z2) ** 5 * Fraction(1, 7), z1 * z2**2 + Fraction(1, 2)]
+    expected = [[q.evaluate(point) for q in polys] for point in ((k, 1 - k) for k in range(6))]
+    for q in polys:
+        q._num = CountingTerms(q._num)
+    stream = _evaluate_at(polys, ([k, 1 - k] for k in range(6)))
+    assert [[Fraction(v, d) for v in values] for values, d in stream] == expected
+    # the keys once for the columns and the numerators once, per polynomial
+    assert [q._num.reads for q in polys] == [2, 2]
+
+
+@pytest.mark.parametrize("den,top", [(1, 4), (3, 4), (-2, 6)])
+def test_monomials_at_one_point_in_one_batch(den, top):
+    exponents = [(0, 0, 0), (1, 0, 2), (0, 4, 0), (2, 1, 1)]
+    point = [5, -3, 7]
+    expected = [
+        point[0] ** a * point[1] ** b * point[2] ** c * den ** (top - a - b - c)
+        for a, b, c in exponents
+    ]
+    assert _monomials_at(exponents, point, den, top) == expected
+    assert _monomials_at([], point, den, top) == []
 
 
 def test_derivative():
