@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 domain error (JSON `{"error": name}` payload on
 stdout), 2 usage error (malformed flags or files; diagnostics on stderr).
 Identical invocations produce byte-identical stdout, and stdout is
-`json.dumps(payload, indent=2)` byte for byte.  It is written in pieces, so
-the text of a large listing is never joined into one string, but only after
-the whole payload has been formatted: a command that fails writes nothing
-but its error payload.
+`json.dumps(payload, indent=2)` byte for byte.  A result and an error
+payload take one write path, `_pieces` and then `writelines`.  It writes in
+pieces, so the text of a large listing is never joined into one string, but
+only after the whole payload has been formatted: a command that fails
+writes nothing but its error payload.
 """
 
 from __future__ import annotations
@@ -188,24 +189,15 @@ def cmd_bergman(args) -> dict:
     }
 
 
-def _dumps(obj) -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte.
-
-    The string is `"".join` over `_pieces(obj)`, the list that `run` writes
-    to stdout piece by piece once all of it is built, so a listing shared by
-    several table entries is held as text once, not once per entry.
-    """
-    return "".join(_pieces(obj))
-
-
 def _pieces(obj) -> list:
     """The text of `json.dumps(obj, indent=2)` as a list of strings.
 
     The stdlib's C encoder is used only without an indent.  Here a list of
     equal-length int rows (the exponent lists that make up large outputs) is
     formatted with one row template, once per object and indent, and each
-    table entry that shares it gets the same string; everything else
-    recurses, and scalars and keys are encoded by `json.dumps` itself.
+    table entry that shares it gets the same string, so a shared listing is
+    held as text once; everything else recurses, and scalars and keys are
+    encoded by `json.dumps` itself.
     """
     out = []
     try:
@@ -333,17 +325,16 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         # _pieces raises BudgetExceeded, not ValueError, on an over-long int
-        pieces = _pieces(args.handler(args))
+        pieces, code = _pieces(args.handler(args)), 0
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuasicircError as exc:
-        print(_dumps({"error": type(exc).__name__}))
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        pieces, code = _pieces({"error": type(exc).__name__}), 1
     sys.stdout.writelines(pieces)
     sys.stdout.write("\n")
-    return 0
+    return code
 
 
 def main() -> None:

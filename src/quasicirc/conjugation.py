@@ -33,7 +33,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, tee
-from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -45,7 +44,7 @@ from .errors import (
     SingularLinearPart,
     WeightMismatch,
 )
-from .linalg import LinearMap, solve_exact
+from .linalg import LinearMap, _integral, solve_exact
 from .poly import Polynomial, PolyMap, _evaluate_at, _monomials_at
 from .resonant import (
     DEFAULT_POOL,
@@ -340,9 +339,11 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         for i in range(1, n + 1)
         for alpha in nonlinear_resonant_monomials(weights, i)
     ]
-    if f.total_degree() > resonance_profile(weights).order ** 2:
+    # every resonance set E_i holds e_i, so this is the resonance order
+    mu = max((sum(alpha) for _, alpha in unknowns), default=1)
+    if f.total_degree() > mu**2:
         raise NoResonantConjugacy(_NO_SIGMA)
-    points = _point_rows(f, j_matrix, unknowns)
+    points = _point_rows(f, j_matrix, unknowns, mu)
     rows: List[List[int]] = []
     rhs: List[int] = []
     commutant = None
@@ -369,37 +370,35 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     return ConjugacySolution(sigma, j_matrix, residual_zero=True, free_parameters=free_count)
 
 
-def _point_rows(f: PolyMap, j_matrix: LinearMap, unknowns: list) -> Iterator[tuple]:
+def _point_rows(f: PolyMap, j_matrix: LinearMap, unknowns: list, top: int) -> Iterator[tuple]:
     """Rows and right-hand sides of sigma . f = J . sigma, n at each point.
 
     At a point p, row i holds [comp_k == i] f(p)^alpha_k - J[i][comp_k] p^alpha_k
     for each unknown (comp_k, alpha_k), with right-hand side (J p)_i - f_i(p).
     The points are the same for every solve: an endless seeded stream of
-    integer coordinates in [-1000, 1000].  f's columns are read once per
-    solve, and f(p) comes as integers y over den, the lcm of f's denominators.
-    With top = max |alpha_k| (1 with no unknowns), den^top f(p)^alpha_k is
-    y^alpha_k den^(top - |alpha_k|) and den^top f_i(p) is den^(top - 1) y_i,
-    so each row here is the row above times j_den den^top, for the lcm j_den
-    of J's denominators: a positive multiple, which `solve_exact` scales to
-    the same primitive row, and no Fraction is made.
+    integer coordinates in [-1000, 1000].  f's columns and the unknowns'
+    are read once per solve, and f(p) comes as integers y over den, the lcm
+    of f's denominators.  With top = max |alpha_k| (1 with no unknowns),
+    den^top f(p)^alpha_k is y^alpha_k den^(top - |alpha_k|) and den^top f_i(p)
+    is den^(top - 1) y_i, so row i here is the row above times d_i den^top,
+    for the lcm d_i of the denominators in row i of J: a positive multiple,
+    which `solve_exact` scales to the same primitive row, and no Fraction is
+    made.
     """
-    n = f.n
-    comps, exponents = [comp for comp, _ in unknowns], [alpha for _, alpha in unknowns]
-    top = max(map(sum, exponents), default=1)
-    j_den = lcm(*(x.denominator for row in j_matrix.rows for x in row))
-    j_int = [[x.numerator * (j_den // x.denominator) for x in row] for row in j_matrix.rows]
+    n, comps = f.n, [comp for comp, _ in unknowns]
+    monomials_at = _monomials_at([alpha for _, alpha in unknowns], top)
+    j_rows = [_integral(row) for row in j_matrix.rows]
     rng = random.Random(12345)
     points, stream = tee(iter(lambda: [rng.randint(-1000, 1000) for _ in range(n)], None))
     for point, (y, den) in zip(points, _evaluate_at(f.components, stream)):
-        plain = _monomials_at(exponents, point, 1, top)
-        lifted = [j_den * value for value in _monomials_at(exponents, y, den, top)]
+        plain, image = monomials_at(point, 1), monomials_at(y, den)
         rows: List[List[int]] = []
         rhs: List[int] = []
-        for i, (j_row, y_i) in enumerate(zip(j_int, y), start=1):
+        for i, ((j_row, j_den), y_i) in enumerate(zip(j_rows, y), start=1):
             j_row = [x * den**top for x in j_row]
             rows.append([
-                (value if comp == i else 0) - j_row[comp - 1] * p_alpha
-                for comp, value, p_alpha in zip(comps, lifted, plain)
+                (j_den * value if comp == i else 0) - j_row[comp - 1] * p_alpha
+                for comp, value, p_alpha in zip(comps, image, plain)
             ])
             rhs.append(sum(map(operator.mul, j_row, point)) - j_den * den ** (top - 1) * y_i)
         yield rows, rhs

@@ -24,8 +24,10 @@ result that lost its top degree to cancellation is narrowed back by
 Fraction; `shift`, which applies a triangular map z + g by one Taylor shift
 per variable, feeds the same pair loop `_accumulate`; through
 `PolyMap._shift` it serves `compose_sigma`, both conjugation routes and,
-lazily, `invert_sigma`.  `evaluate`, over `products`, is their counterpart
-for values at a stream of points, read from the packed keys; no Fraction.
+lazily, `invert_sigma`.  `evaluate` and `monomials` are their counterpart
+for values at a stream of points, with no Fraction: they read the columns,
+from packed keys or exponent tuples, and each column's distinct exponents
+once per stream, and `products` takes both at every point.
 """
 
 from __future__ import annotations
@@ -189,23 +191,31 @@ def evaluate(n: int, parts, points, den: int = 1):
         columns = [[key >> at & mask for key in keys] for at in range(0, n * w, w)]
         if den != 1:
             columns.append([top - key % mask for key in keys])
-        readers.append(([c * scale for c in num.values()], columns))
+        readers.append(([c * scale for c in num.values()], [(col, set(col)) for col in columns]))
     common *= den**top
     for point in points:
         bases, powers = [*point, den], {}
         yield [sum(products(v, columns, bases, powers)) for v, columns in readers], common
 
 
+def monomials(exponents, top: int):
+    """(point, den) -> [x^alpha den^(top - |alpha|)] at integers x, top >= every |alpha|."""
+    columns = [*zip(*exponents), [top - sum(a) for a in exponents]]
+    columns, ones = [(col, set(col)) for col in columns], [1] * len(exponents)
+    return lambda point, den: [*products(ones, columns, [*point, den], {})]
+
+
 def products(values, columns, bases, powers: Dict):
-    """values[k] times the product of bases[j] ** columns[j][k] over j, for each k.
+    """values[k] times the product of bases[j] ** column_j[k] over j, for each k.
 
     Every value at a point goes through here, a term map's or a list of
-    monomials', one column at a time.  `powers` caches bases[j] ** e under
-    (j, e), for the exponents that occur; calls at the same bases share it.
+    monomials', one column at a time; columns[j] is (column_j, its distinct
+    exponents).  `powers` caches bases[j] ** e under (j, e), for the
+    exponents that occur; calls at the same bases share it.
     """
-    for j, column in enumerate(columns):
+    for j, (column, distinct) in enumerate(columns):
         table = {}
-        for e in set(column):
+        for e in distinct:
             if (j, e) not in powers:
                 powers[j, e] = bases[j] ** e
             table[e] = powers[j, e]

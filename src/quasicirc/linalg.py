@@ -11,10 +11,11 @@ the way out: every writer prints an exact rational through it, and it turns
 an integer past `sys.get_int_max_str_digits()` into `BudgetExceeded`.
 
 `solve_exact` is the one linear solver, and `LinearMap.inverse` solves for
-its columns with it.  `LinearMap.determinant` clears each row's
-denominators and runs Bareiss's fraction-free elimination (Math. Comp. 22,
-1968).  It is the invertibility test before every conjugation and every
-sampled matrix, on matrices of size 1 to about 4.
+its columns with it.  `LinearMap.determinant` runs Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968), the invertibility test before every
+conjugation and every sampled matrix, on matrices of size 1 to about 4.
+`_integral` clears a vector's denominators and returns their lcm, for each
+row of `solve_exact`, of `LinearMap.determinant` and of the conjugacy points.
 """
 
 from __future__ import annotations
@@ -86,8 +87,7 @@ class LinearMap:
 
     def determinant(self) -> Fraction:
         """Bareiss elimination on the rows, each scaled by the lcm of its denominators."""
-        dens = [lcm(*(x.denominator for x in row)) for row in self.rows]
-        rows = [[x.numerator * (d // x.denominator) for x in r] for r, d in zip(self.rows, dens)]
+        rows, dens = map(list, zip(*map(_integral, self.rows)))
         sign, prev = 1, 1
         while len(rows) > 1:
             # pivot on the first nonzero leading entry, then drop its row and column
@@ -146,7 +146,7 @@ def solve_exact(
     unique, so the solution and free_count do not depend on which row
     serves as a pivot.
     """
-    pending = _distinct(_primitive(_integral([*row, b])) for row, b in zip(rows, rhs))
+    pending = _distinct(_primitive(_integral([*row, b])[0]) for row, b in zip(rows, rhs))
     if pending is None:
         return None
     pivots = {}  # pivot column -> its row
@@ -185,10 +185,10 @@ def _primitive(vec) -> Optional[tuple]:
     return tuple(x // g for x in vec)
 
 
-def _integral(vec: list) -> list:
-    """An exact rational vector scaled by the lcm of its denominators."""
+def _integral(vec) -> tuple:
+    """(integers, lcm): an exact rational vector scaled by the lcm of its denominators."""
     den = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec]
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 def _distinct(rows) -> Optional[list]:

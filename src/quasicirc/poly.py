@@ -25,7 +25,8 @@ per polynomial, made on first use and kept.  `terms` is a read-only
 Fraction view built on it.  Values at points (`_evaluate_at`) read the
 packed keys instead.  Every public result still gives Fractions.  Only this
 module and `intpoly` know the storage: the package's other modules go
-through `exponents()`, `terms`, `_evaluate_at` and `_monomials_at`.
+through `exponents()`, `terms`, `_evaluate_at` and `_monomials_at`, which
+is `intpoly.monomials` re-exported.
 
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, with exact rational literals `p/q`.  The syntax is
@@ -44,7 +45,7 @@ from typing import Dict, KeysView, Mapping, Optional, Sequence
 from .errors import DimensionMismatch, DoesNotFixOrigin
 from .errors import IndexOutOfRange, ParseError
 from .intpoly import degree, evaluate, over_lcm, reduced, repack
-from .intpoly import products, shift, sum_of_products, unpack, width
+from .intpoly import monomials as _monomials_at, shift, sum_of_products, unpack, width
 from .linalg import LinearMap, as_fraction, exact_text
 from .weights import MultiIndex, WeightVector, weighted_degree
 
@@ -186,7 +187,7 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -324,12 +325,6 @@ def _evaluate_at(polys: Sequence[Polynomial], points, den=1):
     whole stream, and no exponent tuple is decoded.
     """
     return evaluate(polys[0].n, [(p._num, p._den, p._width) for p in polys], points, den)
-
-
-def _monomials_at(exponents, point, den, top):
-    """x^alpha den^(top - |alpha|) for each exponent tuple alpha (top >= |alpha|) at integers x."""
-    columns = [*zip(*exponents), [top - sum(a) for a in exponents]]
-    return [*products([1] * len(exponents), columns, [*point, den], {})]
 
 
 class PolyMap:

@@ -170,7 +170,8 @@ def make_sigma(weights: WeightVector, coeffs: Mapping) -> TriangularResonantMap:
     """Build sigma = id + g from a {(i, alpha): coefficient} map.
 
     Every supplied exponent must be a nonlinear resonant monomial for its
-    component; unsupplied coefficients are zero.
+    component, whatever its coefficient, zero included: an inadmissible
+    exponent is malformed input.  Unsupplied coefficients are zero.
     """
     parts = [dict() for _ in range(weights.n)]
     for (i, alpha), coeff in coeffs.items():

@@ -227,7 +227,7 @@ def test_every_output_path_names_the_budget_error(int_string_limit):
         LinearMap(((huge, 0), (0, 1))).to_string_rows()
     for payload in ({"value": huge}, [[huge, 1]], [1, "a", huge]):
         with pytest.raises(BudgetExceeded):
-            cli._dumps(payload)
+            "".join(cli._pieces(payload))
 
 
 MALFORMED_VALUE_CASES = [
@@ -379,7 +379,7 @@ def shared_listings(rows):
 
 @given(int_rows() | JSON_VALUES | int_rows().map(shared_listings))
 def test_dumps_matches_json_dumps(value):
-    assert cli._dumps(value) == json.dumps(value, indent=2)
+    assert "".join(cli._pieces(value)) == json.dumps(value, indent=2)
 
 
 class WriteLengths(io.TextIOBase):

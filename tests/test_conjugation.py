@@ -7,6 +7,8 @@ import pytest
 
 import quasicirc.conjugation
 import quasicirc.intpoly
+import quasicirc.resonant
+import quasicirc.weights
 from quasicirc import (
     BlockDiagonalInput,
     BudgetExceeded,
@@ -558,6 +560,24 @@ def test_solve_rejects_a_map_above_the_degree_bound(monkeypatch):
     assert seen == []
 
 
+def test_a_solve_reads_each_resonance_set_once(monkeypatch):
+    # mu is the largest degree of an unknown, so no resonance profile lists
+    # the sets a second time
+    w = WeightVector((1, 2, 3, 5))
+    f = conjugate(random_sigma(w, 3), random_linear_map(w.n, 4))
+    calls = []
+    resonance_set = quasicirc.weights.resonance_set
+
+    def counting_resonance_set(weights, i):
+        calls.append(i)
+        return resonance_set(weights, i)
+
+    for module in (quasicirc.weights, quasicirc.resonant):
+        monkeypatch.setattr(module, "resonance_set", counting_resonance_set)
+    assert solve_conjugacy(f, w).residual_zero
+    assert sorted(calls) == [1, 2, 3, 4]
+
+
 def test_rank_deficient_points_add_points_up_to_js_free_count(monkeypatch):
     # under diag(2, 3, 4) at weights (1, 1, 2) the monomial z1^2 is resonant
     # (4 = 2 * 2), so its coefficient is free and the other two are fixed
@@ -744,7 +764,7 @@ def first_rows(stream, points=6):
     out = []
     for rows, rhs in islice(stream, points):
         for row, b in zip(rows, rhs):
-            vector = _integral([*row, b])
+            vector, _ = _integral([*row, b])
             out.append((_primitive(vector), next((x > 0 for x in vector if x), None)))
     return out
 
@@ -754,8 +774,9 @@ def test_point_rows_are_positive_multiples_of_the_fraction_rows():
     for f, w in row_cases():
         j_matrix = f.linear_part()
         unknowns = [(i, a) for i in range(1, w.n + 1) for a in nonlinear_resonant_monomials(w, i)]
+        top = max((sum(alpha) for _, alpha in unknowns), default=1)
         expected = first_rows(reference_point_rows(f, j_matrix, unknowns))
-        assert first_rows(_point_rows(f, j_matrix, unknowns)) == expected
+        assert first_rows(_point_rows(f, j_matrix, unknowns, top)) == expected
         dens.add(max(x.denominator for row in j_matrix.rows for x in row))
     assert max(dens) > 2
 

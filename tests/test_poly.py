@@ -20,6 +20,7 @@ from quasicirc import (
     parse_poly_map,
     parse_polynomial,
 )
+import quasicirc.intpoly
 from quasicirc.intpoly import DIGIT_BITS, width
 from quasicirc.poly import _evaluate_at, _monomials_at
 from oracles import (
@@ -230,6 +231,15 @@ def test_constants_hash_as_their_value():
             assert p == value and hash(p) == hash(value)
             assert len({p, value}) == 1
     assert hash(Polynomial.zero(3)) == hash(0) == hash(Fraction(0))
+
+
+def test_comparing_with_a_bool_or_float_is_false():
+    # as_fraction rejects a bool as it does a float, so neither is a constant
+    p = Polynomial.constant(2, 1)
+    for other in (True, 1.0):
+        assert not p == other and p != other
+        assert p not in [other]
+    assert Polynomial.zero(2) != False  # noqa: E712
 
 
 # the integer product kernel against the schoolbook Fraction product
@@ -696,16 +706,37 @@ def test_a_stream_of_points_reads_each_polynomial_once():
     assert [q._num.reads for q in polys] == [2, 2]
 
 
+def test_a_stream_of_points_takes_each_columns_exponents_once(monkeypatch):
+    z1, z2 = var(2, 1), var(2, 2)
+    polys = [(z1 - 3 * z2) ** 5 * Fraction(1, 7), z1 * z2**2 + Fraction(1, 2)]
+    built = []
+
+    def counting_set(column):
+        built.append(column)
+        return set(column)
+
+    monkeypatch.setattr(quasicirc.intpoly, "set", counting_set, raising=False)
+    points = [[k, 1 - k] for k in range(6)]
+    values = list(_evaluate_at(polys, points, 3))
+    assert len(values) == 6
+    # two variables and the power of den, per polynomial, for all six points
+    assert len(built) == 6
+    reader = _monomials_at([(1, 2), (0, 3)], 3)
+    assert [reader(point, 1) for point in points] == [[x * y**2, y**3] for x, y in points]
+    assert len(built) == 9
+
+
 @pytest.mark.parametrize("den,top", [(1, 4), (3, 4), (-2, 6)])
 def test_monomials_at_one_point_in_one_batch(den, top):
     exponents = [(0, 0, 0), (1, 0, 2), (0, 4, 0), (2, 1, 1)]
-    point = [5, -3, 7]
-    expected = [
-        point[0] ** a * point[1] ** b * point[2] ** c * den ** (top - a - b - c)
-        for a, b, c in exponents
-    ]
-    assert _monomials_at(exponents, point, den, top) == expected
-    assert _monomials_at([], point, den, top) == []
+    monomials_at = _monomials_at(exponents, top)
+    for point in ([5, -3, 7], [-2, 0, 11]):
+        expected = [
+            point[0] ** a * point[1] ** b * point[2] ** c * den ** (top - a - b - c)
+            for a, b, c in exponents
+        ]
+        assert monomials_at(point, den) == expected
+    assert _monomials_at([], top)(point, den) == []
 
 
 def test_derivative():
