@@ -14,15 +14,16 @@ z_j -> z_j + g_j at a time.  `solve_conjugacy` goes the other way: it
 recovers (sigma, J) with sigma . f = J . sigma from f alone by solving an
 exact linear system for the finitely many admissible coefficients of g.
 
-A map above the degree any conjugate can reach is rejected at once.
-Otherwise the system is taken only at fixed integer points: enough for each
-diagonal block of J and each component's unknowns, about as many rows as
-unknowns, and then one more point at a time while they leave more unknowns
-free than J's own system g . J = J . g, the one coefficient system built.
-Then an inconsistent point system proves that no sigma exists, and the
-point solution with its free unknowns zero is the candidate that one exact
-conjugation accepts or rejects; see Schwartz, J. ACM 27(4), 1980, and
-Zippel, EUROSAM 1979, on why generic points lose no rank.
+A map above the degree any conjugate can reach is rejected at once.  As
+sigma and J . sigma have degree at most the resonance order mu, the
+equations of degree at most mu leave at most J's free count and fix sigma
+whenever one exists.  They are taken on fixed lines t p through the origin,
+reading only f's terms of degree at most mu, one line more at a time while
+more unknowns stay free than in J's own system g . J = J . g, the one
+coefficient system built.  Then an inconsistent line system proves that no
+sigma exists, and its solution with the free unknowns zero is the candidate
+that one exact conjugation accepts or rejects; generic lines lose no rank
+(Schwartz, J. ACM 27(4), 1980; Zippel, EUROSAM 1979).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, tee
+from math import prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -45,7 +47,7 @@ from .errors import (
     WeightMismatch,
 )
 from .linalg import LinearMap, _integral, solve_exact
-from .poly import Polynomial, PolyMap, _evaluate_at, _monomials_at
+from .poly import Polynomial, PolyMap, _series_at
 from .resonant import (
     DEFAULT_POOL,
     TriangularResonantMap,
@@ -305,24 +307,29 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     sigma^{-1} . J . sigma has degree at most mu^2, and a map of higher
     degree is rejected at once.
 
-    Otherwise the system is taken at integer points: enough for each
-    diagonal block of J and each component's unknowns (`_point_count`),
-    then one more at a time while more unknowns are free than in J's own
-    system g . J = J . g (`_coefficient_system`).  Every point row is a
-    linear combination of the coefficient rows, which match sigma . f and
-    J . sigma monomial by monomial, so the point solutions contain theirs.
-    If sigma_0 solves f, psi -> psi . sigma_0 is a polynomial bijection,
-    with polynomial inverse, from the solutions for J onto those for f, so
-    the coefficient rows leave J's free count.  Once the counts agree, the
-    two systems share their solutions and reduced row echelon form, and:
+    Otherwise the system is taken on lines t p through the origin, as the
+    coefficients of t^2, ..., t^mu: enough lines for each component's
+    unknowns (`_line_count`), then one more at a time while more unknowns
+    are free than in J's own system g . J = J . g (`_coefficient_system`).
+    J . sigma has degree at most mu, so the coefficient rows of degree at
+    most mu, which match sigma . f and J . sigma monomial by monomial, are
+    some of all the coefficient rows, and each line row combines them.  An
+    unknown of degree d first appears at degree d, through the lowest part
+    (J z)^alpha of f^alpha as in J's system, so degree by degree those rows
+    leave at most J's free count.  If sigma_0 solves f, psi -> psi . sigma_0
+    is a polynomial bijection, with polynomial inverse, from the solutions
+    for J onto those for f, so all the rows leave exactly J's free count.
+    Once the counts agree, the line and full systems share their solutions
+    and reduced row echelon form, and:
 
-    - an inconsistent point system means NoResonantConjugacy;
+    - an inconsistent line system means NoResonantConjugacy;
     - otherwise sigma, the free unknowns zero, is the candidate.  The exact
       residual conjugate(sigma, J) == f, equivalent to sigma . f == J . sigma
-      because sigma is invertible, accepts it or proves NoResonantConjugacy.
+      because sigma is invertible, accepts it or proves NoResonantConjugacy;
+      it alone reads f's terms above degree mu.
 
-    Generic points lose no rank, but fixed ones can: if K + 1 points past
-    `_point_count`, for K unknowns, still leave more free than J's count,
+    Generic lines lose no rank, but fixed ones can: if K + 1 lines past
+    `_line_count`, for K unknowns, still leave more free than J's count,
     the solve raises BudgetExceeded.
     """
     if f.n != weights.n:
@@ -343,15 +350,15 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     mu = max((sum(alpha) for _, alpha in unknowns), default=1)
     if f.total_degree() > mu**2:
         raise NoResonantConjugacy(_NO_SIGMA)
-    points = _point_rows(f, j_matrix, unknowns, mu)
+    lines = _line_rows(f, j_matrix, unknowns, mu)
     rows: List[List[int]] = []
     rhs: List[int] = []
     commutant = None
-    # the `_point_count` points, then one point at a time, at most K + 1 more
+    # the `_line_count` lines, then one line at a time, at most K + 1 more
     for extra in range(len(unknowns) + 2):
-        for point_rows, point_rhs in islice(points, 1 if extra else _point_count(j_matrix, unknowns)):
-            rows += point_rows
-            rhs += point_rhs
+        for line_rows, line_rhs in islice(lines, 1 if extra else _line_count(j_matrix, unknowns, mu)):
+            rows += line_rows
+            rhs += line_rhs
         solved = solve_exact(rows, rhs, len(unknowns))
         if solved is None:
             raise NoResonantConjugacy(_NO_SIGMA)
@@ -360,7 +367,7 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         if not solved[1] or solved[1] <= commutant:
             break
     else:
-        raise BudgetExceeded(f"{len(unknowns) + 1} more points left more free than J's system")
+        raise BudgetExceeded(f"{len(unknowns) + 1} more lines left more free than J's system")
     solution, free_count = solved
     sigma = make_sigma(weights, {key: value for key, value in zip(unknowns, solution) if value})
     if _conjugate(sigma, j_matrix, is_block_diagonal(j_matrix, block_partition(weights))) != f:
@@ -370,66 +377,59 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     return ConjugacySolution(sigma, j_matrix, residual_zero=True, free_parameters=free_count)
 
 
-def _point_rows(f: PolyMap, j_matrix: LinearMap, unknowns: list, top: int) -> Iterator[tuple]:
-    """Rows and right-hand sides of sigma . f = J . sigma, n at each point.
+def _line_rows(f: PolyMap, j_matrix: LinearMap, unknowns: list, top: int) -> Iterator[tuple]:
+    """Rows and right-hand sides of sigma . f = J . sigma, n (top - 1) on each line.
 
-    At a point p, row i holds [comp_k == i] f(p)^alpha_k - J[i][comp_k] p^alpha_k
-    for each unknown (comp_k, alpha_k), with right-hand side (J p)_i - f_i(p).
-    The points are the same for every solve: an endless seeded stream of
-    integer coordinates in [-1000, 1000].  f's columns and the unknowns'
-    are read once per solve, and f(p) comes as integers y over den, the lcm
-    of f's denominators.  With top = max |alpha_k| (1 with no unknowns),
-    den^top f(p)^alpha_k is y^alpha_k den^(top - |alpha_k|) and den^top f_i(p)
-    is den^(top - 1) y_i, so row i here is the row above times d_i den^top,
-    for the lcm d_i of the denominators in row i of J: a positive multiple,
-    which `solve_exact` scales to the same primitive row, and no Fraction is
-    made.
+    On the line t p, row (i, d), 2 <= d <= top, holds the coefficient of t^d
+    in [comp_k == i] f(tp)^alpha_k - J[i][comp_k] (tp)^alpha_k for each
+    unknown (comp_k, alpha_k), with right-hand side -[t^d] f_i(tp), as
+    (J tp)_i is linear in t.  The lines are the same for every solve: through
+    a seeded stream of integer points in [-1000, 1000].  `_series_at` reads
+    f's terms of degree at most top once per solve, and gives f(tp) as
+    integer series over den, the lcm of f's denominators.  Each f_j(tp) is
+    t u_j(t), so f(tp)^alpha is t^|alpha| u^alpha / den^|alpha|, with u^alpha
+    needed only up to t^(top - |alpha|).  Row (i, d) here is the row above
+    times d_i den^top, for the lcm d_i of the denominators in row i of J: a
+    positive multiple, which `solve_exact` scales to the same primitive row.
     """
-    n, comps = f.n, [comp for comp, _ in unknowns]
-    monomials_at = _monomials_at([alpha for _, alpha in unknowns], top)
+    n, degrees = f.n, [sum(alpha) for _, alpha in unknowns]
     j_rows = [_integral(row) for row in j_matrix.rows]
     rng = random.Random(12345)
     points, stream = tee(iter(lambda: [rng.randint(-1000, 1000) for _ in range(n)], None))
-    for point, (y, den) in zip(points, _evaluate_at(f.components, stream)):
-        plain, image = monomials_at(point, 1), monomials_at(y, den)
-        rows: List[List[int]] = []
-        rhs: List[int] = []
-        for i, ((j_row, j_den), y_i) in enumerate(zip(j_rows, y), start=1):
-            j_row = [x * den**top for x in j_row]
-            rows.append([
-                (j_den * value if comp == i else 0) - j_row[comp - 1] * p_alpha
-                for comp, value, p_alpha in zip(comps, image, plain)
-            ])
-            rhs.append(sum(map(operator.mul, j_row, point)) - j_den * den ** (top - 1) * y_i)
-        yield rows, rhs
+    for point, (series, den) in zip(points, _series_at(f.components, top, stream)):
+        images = []
+        for (_, alpha), size in zip(unknowns, degrees):
+            image = [1] + [0] * (top - size)
+            for j, e in enumerate(alpha):
+                for _ in range(e):  # times u_j, cut at t^(top - |alpha|)
+                    image = [sum(map(operator.mul, image[: k + 1], series[j][k + 1 : 0 : -1]))
+                             for k in range(len(image))]
+            images.append([0] * size + [den ** (top - size) * c for c in image])
+        plain = [den**top * prod(map(pow, point, alpha)) for _, alpha in unknowns]
+        rows = [
+            [(j_den * image[d] if comp == i else 0) - (j_row[comp - 1] * p if size == d else 0)
+             for (comp, _), image, p, size in zip(unknowns, images, plain, degrees)]
+            for i, (j_row, j_den) in enumerate(j_rows, start=1) for d in range(2, top + 1)
+        ]
+        yield rows, [-j_den * den ** (top - 1) * s[d] for (_, j_den), s in zip(j_rows, series)
+                     for d in range(2, top + 1)]
 
 
-def _point_count(j_matrix: LinearMap, unknowns: list) -> int:
-    """Points enough for each diagonal block of J and for each component.
+def _line_count(j_matrix: LinearMap, unknowns: list, top: int) -> int:
+    """Lines enough for each component's unknowns, at least one.
 
-    An unknown of component c appears only in the rows of c's block B, so
-    the K_B unknowns of B need ceil(K_B / |B|) points to be fixed, and one
-    more point checks consistency.  The blocks are the finest contiguous
-    ones that J is block-diagonal in.  At one point, c's unknowns fill row c
-    and, in every other row i, J[i][c] times one vector (p^alpha_k), so they
-    span r_c = 1 row when column c of J is zero off the diagonal, 2
-    otherwise, and need ceil(K_c / r_c) points.  That term takes no extra
-    point: a unique candidate still has to pass the exact residual.
+    On a line, an unknown (c, alpha) appears only in rows of degree at least
+    |alpha|: in row (c, d), and in each other row as J[i][c] times one number
+    at d = |alpha|.  So c's K_c(d) unknowns of degree at least d fill
+    r_c (top - d + 1) rows a line, r_c = 1 when column c of J is zero off the
+    diagonal and 2 otherwise, and need ceil(K_c(d) / (r_c (top - d + 1)))
+    lines.  No line is added to check consistency: a unique candidate still
+    has to pass the exact residual.
     """
     rows = j_matrix.rows
-    n = len(rows)
-    per_component = Counter(comp for comp, _ in unknowns)
-    count, start, end = 1, 0, 0
-    for i in range(n):
-        # the block that holds i reaches the furthest index i is linked to
-        end = max(end, i, *(j for j in range(n) if rows[i][j] or rows[j][i]))
-        spans = 1 + any(rows[j][i] for j in range(n) if j != i)
-        count = max(count, -(-per_component[i + 1] // spans))
-        if end == i:
-            k = sum(per_component[c] for c in range(start + 1, i + 2))
-            count = max(count, -(-k // (i + 1 - start)) + 1)
-            start = i + 1
-    return count
+    spans = [1 + any(row[c] for i, row in enumerate(rows) if i != c) for c in range(len(rows))]
+    needs = Counter((comp, d) for comp, alpha in unknowns for d in range(2, sum(alpha) + 1))
+    return max([1, *(-(-k // (spans[comp - 1] * (top - d + 1))) for (comp, d), k in needs.items())])
 
 
 def _coefficient_system(j_matrix: LinearMap, unknowns: list) -> int:

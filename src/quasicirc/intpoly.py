@@ -24,10 +24,11 @@ result that lost its top degree to cancellation is narrowed back by
 Fraction; `shift`, which applies a triangular map z + g by one Taylor shift
 per variable, feeds the same pair loop `_accumulate`; through
 `PolyMap._shift` it serves `compose_sigma`, both conjugation routes and,
-lazily, `invert_sigma`.  `evaluate` and `monomials` are their counterpart
-for values at a stream of points, with no Fraction: they read the columns,
-from packed keys or exponent tuples, and each column's distinct exponents
-once per stream, and `products` takes both at every point.
+lazily, `invert_sigma`.  `evaluate` and `series` are their counterpart
+for values at a stream of points and along the lines through them, with no
+Fraction: they read the columns from packed keys, and each column's
+distinct exponents, once per stream, and `products` takes both at every
+point.
 """
 
 from __future__ import annotations
@@ -198,20 +199,46 @@ def evaluate(n: int, parts, points, den: int = 1):
         yield [sum(products(v, columns, bases, powers)) for v, columns in readers], common
 
 
-def monomials(exponents, top: int):
-    """(point, den) -> [x^alpha den^(top - |alpha|)] at integers x, top >= every |alpha|."""
-    columns = [*zip(*exponents), [top - sum(a) for a in exponents]]
-    columns, ones = [(col, set(col)) for col in columns], [1] * len(exponents)
-    return lambda point, den: [*products(ones, columns, [*point, den], {})]
+def series(polys, top: int, points):
+    """(coefficients, d) of polynomials along the lines t p through a stream of points.
+
+    The polynomials are read as `sum_of_products` reads its factors, and a
+    point holds integers.  coefficients[i][e] / d is the coefficient of t^e
+    in polynomial i at t p, for e = 0, ..., top, with d the lcm of their
+    denominators: the sum of c p^alpha over the terms of degree e.  So only
+    the terms of degree at most top are read, once per stream; a term above
+    is seen only by its key, whose degree is the key mod 2^w - 1.  Every
+    point takes one pass of `products` per polynomial, summed by degree.
+    """
+    common = lcm(*(p._den for p in polys))
+    readers = []
+    for p in polys:
+        num, w, scale = p._num, p._width, common // p._den
+        mask = (1 << w) - 1
+        keys = [key for key in num if key % mask <= top]
+        columns = [[key >> at & mask for key in keys] for at in range(0, p.n * w, w)]
+        readers.append((
+            [key % mask for key in keys], [num[key] * scale for key in keys],
+            [(col, set(col)) for col in columns],
+        ))
+    for point in points:
+        powers: Dict = {}
+        coefficients = []
+        for degrees, values, columns in readers:
+            row = [0] * (top + 1)
+            for e, value in zip(degrees, products(values, columns, point, powers)):
+                row[e] += value
+            coefficients.append(row)
+        yield coefficients, common
 
 
 def products(values, columns, bases, powers: Dict):
     """values[k] times the product of bases[j] ** column_j[k] over j, for each k.
 
-    Every value at a point goes through here, a term map's or a list of
-    monomials', one column at a time; columns[j] is (column_j, its distinct
-    exponents).  `powers` caches bases[j] ** e under (j, e), for the
-    exponents that occur; calls at the same bases share it.
+    Every value at a point goes through here, one column at a time;
+    columns[j] is (column_j, its distinct exponents).  `powers` caches
+    bases[j] ** e under (j, e), for the exponents that occur; calls at the
+    same bases share it.
     """
     for j, (column, distinct) in enumerate(columns):
         table = {}

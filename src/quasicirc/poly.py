@@ -22,11 +22,11 @@ a top degree cancelled; a one-term power raises its key as key * e.  The
 readers that need exponent tuples (`exponents()`, `terms`, `coefficient()`,
 the weighted-degree readers and `substitute`'s outer loop) share one decode
 per polynomial, made on first use and kept.  `terms` is a read-only
-Fraction view built on it.  Values at points (`_evaluate_at`) read the
-packed keys instead.  Every public result still gives Fractions.  Only this
-module and `intpoly` know the storage: the package's other modules go
-through `exponents()`, `terms`, `_evaluate_at` and `_monomials_at`, which
-is `intpoly.monomials` re-exported.
+Fraction view built on it.  Values at points (`_evaluate_at`) and series
+along lines (`_series_at`) read the packed keys instead.  Every public
+result still gives Fractions.  Only this module and `intpoly` know the
+storage: the package's other modules go through `exponents()`, `terms`,
+`_evaluate_at` and `_series_at`, which is `intpoly.series` re-exported.
 
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, with exact rational literals `p/q`.  The syntax is
@@ -45,7 +45,7 @@ from typing import Dict, KeysView, Mapping, Optional, Sequence
 from .errors import DimensionMismatch, DoesNotFixOrigin
 from .errors import IndexOutOfRange, ParseError
 from .intpoly import degree, evaluate, over_lcm, reduced, repack
-from .intpoly import monomials as _monomials_at, shift, sum_of_products, unpack, width
+from .intpoly import series as _series_at, shift, sum_of_products, unpack, width
 from .linalg import LinearMap, as_fraction, exact_text
 from .weights import MultiIndex, WeightVector, weighted_degree
 

@@ -7,7 +7,6 @@ inversion) so the tests never check an implementation against itself.
 
 from __future__ import annotations
 
-import operator
 import random
 import re
 from fractions import Fraction
@@ -199,55 +198,52 @@ def coefficient_solve(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
 
 
 
-def fraction_values_at(polys, point) -> list:
-    """The polynomials' values at one rational point, one power per factor of a term.
+def reference_line_rows(f: PolyMap, j_matrix, unknowns: list, top: int) -> Iterator[tuple]:
+    """The rows of sigma . f = J . sigma along lines t p, in Fractions, n (top - 1) a line.
 
-    Each polynomial's decoded terms are put over the lcm of their
-    denominators, so at an integer point the sum stays in integers and one
-    Fraction is made per polynomial.
-    """
-    values = []
-    for p in polys:
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        total = sum(
-            c.numerator * (den // c.denominator) * prod(map(pow, point, alpha))
-            for alpha, c in p.terms.items()
-        )
-        values.append(Fraction(total) / den)
-    return values
-
-
-def reference_point_rows(f: PolyMap, j_matrix, unknowns: list) -> Iterator[tuple]:
-    """The point rows of sigma . f = J . sigma, each point's over one denominator.
-
-    The library's rows before they were built from packed keys, kept verbatim
-    but for `fraction_values_at` in place of its Fraction evaluator: the same
-    seeded point stream, and each point's rows are that point's Fraction
-    rows times the lcm of J's denominators and every Fraction in them.
+    The lines pass through the library's seeded points.  Each component's
+    series along t p sums every decoded term: c z^beta adds c p^beta to
+    t^|beta|, over the lcm of the component's denominators, and the series
+    is kept up to t^top.  f(tp)^alpha is multiplied out one factor at a time
+    by the schoolbook product of series, cut at t^top, and row (i, d), for
+    2 <= d <= top, is the coefficient of t^d in
+    [comp == i] f(tp)^alpha - J[i][comp] (tp)^alpha, with right-hand side
+    -[t^d] f_i(tp).
     """
     n = f.n
-    monomials = [Polynomial.monomial(n, alpha) for _, alpha in unknowns]
-    j_den = lcm(*(x.denominator for row in j_matrix.rows for x in row))
-    j_int = [[x.numerator * (j_den // x.denominator) for x in row] for row in j_matrix.rows]
     rng = random.Random(12345)
     while True:
         point = [rng.randint(-1000, 1000) for _ in range(n)]
-        # f_1(p), ..., f_n(p), then the integer p^alpha_k for each unknown
-        values = fraction_values_at([*f.components, *monomials], point)
-        # f_1(p), ..., f_n(p), then f(p)^alpha_k, as numerators over den
-        image = values[:n] + fraction_values_at(monomials, values[:n])
-        den = lcm(j_den, *(v.denominator for v in image))
-        image = [v.numerator * (den // v.denominator) for v in image]
-        rows: List[List[int]] = []
-        rhs: List[int] = []
+        series = []
+        for p in f.components:
+            den = lcm(*(c.denominator for c in p.terms.values()))
+            sums: Dict[int, int] = {}
+            for beta, c in p.terms.items():
+                term = c.numerator * (den // c.denominator) * prod(map(pow, point, beta))
+                sums[sum(beta)] = sums.get(sum(beta), 0) + term
+            series.append([Fraction(sums.get(e, 0), den) for e in range(top + 1)])
+        images = []
+        for _, alpha in unknowns:
+            image = [Fraction(1)] + [Fraction(0)] * top
+            for j, e in enumerate(alpha):
+                for _ in range(e):
+                    image = [
+                        sum(image[a] * series[j][k - a] for a in range(k + 1))
+                        for k in range(top + 1)
+                    ]
+            images.append(image)
+        rows: List[list] = []
+        rhs: List[Fraction] = []
         for i in range(1, n + 1):
-            j_row = [x * (den // j_den) for x in j_int[i - 1]]
-            rows.append([
-                (value if comp == i else 0) - j_row[comp - 1] * plain.numerator
-                for (comp, _), value, plain in zip(unknowns, image[n:], values[n:])
-            ])
-            rhs.append(sum(map(operator.mul, j_row, point)) - image[i - 1])
+            for d in range(2, top + 1):
+                rows.append([
+                    (image[d] if comp == i else 0)
+                    - j_matrix.rows[i - 1][comp - 1] * (prod(map(pow, point, alpha)) if sum(alpha) == d else 0)
+                    for (comp, alpha), image in zip(unknowns, images)
+                ])
+                rhs.append(-series[i - 1][d])
         yield rows, rhs
+
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 5) -> Polynomial:
     """A small random polynomial for algebraic-law checks."""

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import islice, repeat
 from pathlib import Path
@@ -43,14 +44,14 @@ from quasicirc import (
     solve_conjugacy,
     solve_exact,
 )
-from quasicirc.conjugation import _conjugate, _point_rows
+from quasicirc.conjugation import _coefficient_system, _conjugate, _line_count, _line_rows
 from quasicirc.linalg import _integral, _primitive
 from quasicirc.resonant import pool_choices
 from oracles import (
     WEIGHT_SET,
     coefficient_solve,
     generic_compose_sigma,
-    reference_point_rows,
+    reference_line_rows,
     series_inverse,
     unwind_inverse,
 )
@@ -533,22 +534,26 @@ def test_solve_builds_a_pinned_system(monkeypatch):
     w = WeightVector((1, 2, 3, 5))
     f = conjugate(random_sigma(w, 5), random_linear_map(w.n, 6))
     assert solve_conjugacy(f, w).residual_zero
-    # one point system per solve: J mixes every component, so ceil(K/n) + 1
-    # points of n rows each
-    assert seen == [(4, 4, 1), (12, 12, 8)]
+    # one line system per solve, of n (mu - 1) rows: at (1, 2) the unknown
+    # z1^2 has the one row of degree 2 in component 2, and at (1, 2, 3, 5)
+    # the five unknowns of component 4, of degrees 2 to 5, fill at most two
+    # rows of each degree, so one line of 4 * 4 rows fixes all eight
+    assert seen == [(2, 2, 1), (16, 16, 8)]
 
 
 def test_block_diagonal_linear_part_needs_points_per_block(monkeypatch):
     # at weights (1, 2, 3) a block-diagonal J is diagonal: the two unknowns of
-    # component 3 see only the third row of each point, so three points fix
-    # them and check consistency
+    # component 3, of degrees 2 and 3, see only its rows of degrees 2 and 3,
+    # so one line of 3 * 2 rows fixes them
     seen = record_systems(monkeypatch)
     w = WeightVector((1, 2, 3))
     f = conjugate(random_sigma(w, 3), LinearMap(((2, 0, 0), (0, 3, 0), (0, 0, 5))))
     assert solve_conjugacy(f, w).residual_zero
-    with pytest.raises(NoResonantConjugacy, match="no triangular"):
+    # the bump z1^4 lies above mu = 3, where no line row looks, so the line
+    # system is solvable and only the exact residual rejects the candidate
+    with pytest.raises(NoResonantConjugacy, match="only candidate"):
         solve_conjugacy(bumped(f, w), w)
-    assert seen == [(9, 9, 3), (9, 9, 3)]
+    assert seen == [(6, 6, 3), (6, 6, 3)]
 
 
 def test_solve_rejects_a_map_above_the_degree_bound(monkeypatch):
@@ -589,21 +594,23 @@ def test_rank_deficient_points_add_points_up_to_js_free_count(monkeypatch):
     assert solution.sigma == sigma
     assert solution.residual_zero
     assert solution.free_parameters == 1
-    # the points leave one unknown free, so J's own system is solved, one
-    # row per monomial (J z)^alpha, and its free count 1 ends the solve
-    assert seen == [(12, 12, 3), (3, 3, 3)]
-    # from one point, which fixes one of the three unknowns, one point more
+    # the three unknowns, all of degree mu = 2, share component 3's one row
+    # a line, so three lines; they leave one unknown free, so J's own system
+    # is solved, one row per monomial (J z)^alpha, and its free count 1 ends
+    # the solve
+    assert seen == [(9, 9, 3), (3, 3, 3)]
+    # from one line, which fixes one of the three unknowns, one line more
     # brings the free count down to J's
     seen.clear()
-    monkeypatch.setattr(quasicirc.conjugation, "_point_count", lambda *args: 1)
+    monkeypatch.setattr(quasicirc.conjugation, "_line_count", lambda *args: 1)
     assert solve_conjugacy(f, w) == solution
     assert seen == [(3, 3, 3), (3, 3, 3), (6, 6, 3)]
 
 
 def test_mixing_solve_at_n5_stays_on_the_point_path(monkeypatch):
-    # component 5 holds 13 of the 21 unknowns and spans two rows a point,
-    # so it needs ceil(13 / 2) = 7 points, one more than the single block's
-    # ceil(21 / 5) + 1, with which the points left unknowns free
+    # component 5 holds 13 of the 21 unknowns, of degrees 2 to mu = 8, and
+    # fills at most two rows of each degree a line, so one line of
+    # 5 * 7 rows fixes them all
     seen = record_systems(monkeypatch)
 
     def no_commutant(*args):
@@ -618,20 +625,23 @@ def test_mixing_solve_at_n5_stays_on_the_point_path(monkeypatch):
 
 
 def test_points_that_gain_no_rank_exceed_the_budget(monkeypatch, capsys):
+    # J = diag(-1, -1/2, -2, 2): the four unknowns of component 4 of degree
+    # at least 3 fill one row of each of the degrees 3, 4 and 5 a line, so
+    # two lines are taken
     w = WeightVector((1, 2, 3, 5))
-    f = conjugate(random_sigma(w, 5), random_linear_map(w.n, 6))
-    point_rows = quasicirc.conjugation._point_rows
-    # a stream that repeats its first point
+    f = conjugate(random_sigma(w, 3), random_block_diagonal_map(w, 4))
+    line_rows = quasicirc.conjugation._line_rows
+    # a stream that repeats its first line
     monkeypatch.setattr(
-        quasicirc.conjugation, "_point_rows", lambda *args: repeat(next(point_rows(*args)))
+        quasicirc.conjugation, "_line_rows", lambda *args: repeat(next(line_rows(*args)))
     )
     seen = record_systems(monkeypatch)
     with pytest.raises(BudgetExceeded):
         solve_conjugacy(f, w)
-    # one point's 4 rows fix at most 4 of the 8 unknowns, against J's 0
-    # free: the first 3 points, J's system (one row per component and
-    # monomial of its dense (J z)^alpha), then K + 1 = 9 points more
-    assert seen == [(12, 12, 8), (176, 176, 8), *((4 * k, 4 * k, 8) for k in range(4, 13))]
+    # a repeated line fixes no more than one line, against J's 0 free: the
+    # first 2 lines of 16 rows, J's system (one row per component and
+    # monomial, as (J z)^alpha is one monomial), then K + 1 = 9 lines more
+    assert seen == [(32, 32, 8), (8, 8, 8), *((16 * k, 16 * k, 8) for k in range(3, 12))]
     # the CLI exits 1 on it, as on every QuasicircError
     data = Path(__file__).parent / "data" / "map_free_112.txt"
     assert cli.run(["solve", "--weights", "1,1,2", "--map", str(data)]) == 1
@@ -639,8 +649,8 @@ def test_points_that_gain_no_rank_exceed_the_budget(monkeypatch, capsys):
 
 
 def test_solve_substitutes_nothing_into_the_map(monkeypatch):
-    # J's linear forms are substituted for its own system; f is only
-    # evaluated at points
+    # J's linear forms are substituted for its own system; f is only read
+    # along lines
     text = (Path(__file__).parent / "data" / "map_free_112.txt").read_text(encoding="utf-8")
     w = WeightVector((1, 2, 3, 5))
     cases = [
@@ -664,10 +674,9 @@ def test_solve_substitutes_nothing_into_the_map(monkeypatch):
 
 
 def test_solve_rejects_the_only_candidate_by_its_residual(monkeypatch):
-    # J is one block, so two points of three rows; but only the third row of
-    # each sees the two unknowns of component 3 (J[1][3] = J[2][3] = 0), so
-    # the points fix them without a consistency check, and only the exact
-    # residual sees the z1^4 bump
+    # one line of three components times the degrees 2 and 3 fixes the
+    # three unknowns; the z1^4 bump lies above mu = 3, where no line row
+    # looks, so only the exact residual sees it
     seen = record_systems(monkeypatch)
     with pytest.raises(NoResonantConjugacy, match="only candidate"):
         solve_conjugacy(parse_poly_map("2 z1\n3 z2\nz1 + 5 z3 + z1^4"), WeightVector((1, 2, 3)))
@@ -698,8 +707,8 @@ def differential_cases():
         yield bumped(f, w), w
         yield PolyMap.identity(w.n), w
     yield PolyMap.from_linear(LinearMap(((2, 0), (0, 4)))), W12
-    # one component holds all ten unknowns, which span two rows a point, so
-    # the one mixed block's ceil(10 / 5) + 1 = 3 points cannot fix them
+    # one component holds all ten unknowns, of degree mu = 2, which fill at
+    # most two rows a line, so five lines
     w = WeightVector((1, 1, 1, 1, 2))
     for seed in range(2):
         yield conjugate(random_sigma(w, seed), random_linear_map(w.n, seed + 100)), w
@@ -739,7 +748,7 @@ def test_point_system_agrees_with_coefficient_system():
 
 
 def row_cases():
-    """(f, weights) whose point rows are checked against the Fraction rows."""
+    """(f, weights) whose line rows are checked against the Fraction rows."""
     for m in SOLVE_WEIGHTS:
         w = WeightVector(m)
         yield conjugate(random_sigma(w, 3), random_linear_map(w.n, 4)), w
@@ -755,14 +764,19 @@ def row_cases():
     # component denominators 2, 4, 4 and 32 under a J with halves
     text = (Path(__file__).parent / "data" / "map_mixing_1235.txt").read_text(encoding="utf-8")
     yield parse_poly_map(text), WeightVector((1, 2, 3, 5))
-    # no unknowns: every row is empty but for its right-hand side
+    # no unknowns: mu = 1, so a line has no rows
     yield PolyMap.from_linear(random_linear_map(3, 9)), WeightVector((1, 1, 1))
 
 
-def first_rows(stream, points=6):
-    """The rows [A | b] of the first points, each primitive, and the sign it was scaled by."""
+def unknowns_and_mu(w):
+    unknowns = [(i, a) for i in range(1, w.n + 1) for a in nonlinear_resonant_monomials(w, i)]
+    return unknowns, max((sum(alpha) for _, alpha in unknowns), default=1)
+
+
+def first_rows(stream, lines=6):
+    """The rows [A | b] of the first lines, each primitive, and the sign it was scaled by."""
     out = []
-    for rows, rhs in islice(stream, points):
+    for rows, rhs in islice(stream, lines):
         for row, b in zip(rows, rhs):
             vector, _ = _integral([*row, b])
             out.append((_primitive(vector), next((x > 0 for x in vector if x), None)))
@@ -773,18 +787,119 @@ def test_point_rows_are_positive_multiples_of_the_fraction_rows():
     dens = set()
     for f, w in row_cases():
         j_matrix = f.linear_part()
-        unknowns = [(i, a) for i in range(1, w.n + 1) for a in nonlinear_resonant_monomials(w, i)]
-        top = max((sum(alpha) for _, alpha in unknowns), default=1)
-        expected = first_rows(reference_point_rows(f, j_matrix, unknowns))
-        assert first_rows(_point_rows(f, j_matrix, unknowns, top)) == expected
+        unknowns, top = unknowns_and_mu(w)
+        expected = first_rows(reference_line_rows(f, j_matrix, unknowns, top))
+        assert first_rows(_line_rows(f, j_matrix, unknowns, top)) == expected
         dens.add(max(x.denominator for row in j_matrix.rows for x in row))
     assert max(dens) > 2
+
+
+class SpiedTerms(dict):
+    """A term map that records each key whose coefficient is read, and refuses a bulk read."""
+
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+    def items(self):
+        raise AssertionError("every term of f was read")
+
+    values = items
+
+
+def test_terms_of_f_above_mu_are_never_read(monkeypatch):
+    w = WeightVector((1, 2, 3, 5))
+    f = conjugate(random_sigma(w, 5), random_linear_map(w.n, 6))
+    unknowns, mu = unknowns_and_mu(w)
+    # the bump z1^6 lies above mu = 5 and changes no line row, so the
+    # altered map's line system keeps f's solution, and only the exact
+    # residual rejects it
+    altered = bumped(f, w)
+    j_matrix = f.linear_part()
+    expected = first_rows(_line_rows(f, j_matrix, unknowns, mu), lines=2)
+    assert first_rows(_line_rows(altered, j_matrix, unknowns, mu), lines=2) == expected
+    with pytest.raises(NoResonantConjugacy, match="only candidate"):
+        solve_conjugacy(altered, w)
+    # up to the residual, a solve reads no coefficient of f's terms above mu,
+    # which are most of f's terms
+    for part in f.components:
+        part._num = SpiedTerms(part._num)
+    reads = []
+    residual = quasicirc.conjugation._conjugate
+
+    def spying_conjugate(*args):
+        reads.extend(list(part._num.read) for part in f.components)
+        return residual(*args)
+
+    monkeypatch.setattr(quasicirc.conjugation, "_conjugate", spying_conjugate)
+    assert solve_conjugacy(f, w).residual_zero
+    low_count = 0
+    for part, read in zip(f.components, reads):
+        mask = (1 << part._width) - 1
+        low = {key for key in part._num if key % mask <= mu}
+        low_count += len(low)
+        # the terms of degree at most mu for the line rows, and J's entries
+        # and the constant term (key 0, absent) for the linear part
+        assert set(read) == low | {0}
+    assert f.total_degree() == mu**2
+    assert low_count < sum(len(part._num) for part in f.components) / 2
+
+
+def test_benchmark_round_trips_solve_with_one_elimination(monkeypatch):
+    # the solvable inputs of bench/workloads.py's solve_roundtrip, rounds 0 to
+    # 29 at seeds 1 and 3, drawn as it draws them: the first line fixes every
+    # unknown, so no line is added and J's system is never built
+    def no_commutant(*args):
+        raise AssertionError("a unique line solution needed J's free count")
+
+    monkeypatch.setattr(quasicirc.conjugation, "_coefficient_system", no_commutant)
+    seen = record_systems(monkeypatch)
+    for seed in (1, 3):
+        for r in range(30):
+            rng = random.Random(f"solve_roundtrip/{seed}/{r}")
+            for m in SOLVE_WEIGHTS:
+                w = WeightVector(m)
+                sigma = random_sigma(w, rng.getrandbits(32))
+                linear = random_linear_map(w.n, rng.getrandbits(32))
+                unknowns, mu = unknowns_and_mu(w)
+                seen.clear()
+                solution = solve_conjugacy(conjugate(sigma, linear), w)
+                assert solution.linear == linear and solution.free_parameters == 0
+                assert seen == [(w.n * (mu - 1), w.n * (mu - 1), len(unknowns))]
+
+
+def test_line_count_is_the_fewest_lines_that_fix_every_unknown():
+    # where J's own system leaves nothing free, `_line_count` lines are
+    # exactly as many as the rows need to fix every unknown or be inconsistent
+    counted = 0
+    for f, w in differential_cases():
+        unknowns, mu = unknowns_and_mu(w)
+        j_matrix = f.linear_part()
+        if not unknowns or _coefficient_system(j_matrix, unknowns):
+            continue
+        rows, rhs, needed = [], [], 0
+        for line_rows, line_rhs in _line_rows(f, j_matrix, unknowns, mu):
+            rows, rhs, needed = rows + line_rows, rhs + line_rhs, needed + 1
+            solved = solve_exact(rows, rhs, len(unknowns))
+            if solved is None or not solved[1]:
+                break
+        assert _line_count(j_matrix, unknowns, mu) == needed
+        counted += needed > 1
+    assert counted
 
 
 @pytest.mark.parametrize("m", [(1, 1), (1, 1, 1)])
 def test_solve_with_no_unknowns(m):
     # equal weights leave no nonlinear resonant monomial, so sigma is the
-    # identity and each point row is empty but for its right-hand side
+    # identity, mu = 1 and a line has no rows: the residual alone decides
     w = WeightVector(m)
     assert not any(nonlinear_resonant_monomials(w, i) for i in range(1, w.n + 1))
     linear = random_linear_map(w.n, 9)

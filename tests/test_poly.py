@@ -2,7 +2,7 @@ import inspect
 import random
 import sys
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +22,7 @@ from quasicirc import (
 )
 import quasicirc.intpoly
 from quasicirc.intpoly import DIGIT_BITS, width
-from quasicirc.poly import _evaluate_at, _monomials_at
+from quasicirc.poly import _evaluate_at, _series_at
 from oracles import (
     random_poly_map,
     random_polynomial,
@@ -721,22 +721,29 @@ def test_a_stream_of_points_takes_each_columns_exponents_once(monkeypatch):
     assert len(values) == 6
     # two variables and the power of den, per polynomial, for all six points
     assert len(built) == 6
-    reader = _monomials_at([(1, 2), (0, 3)], 3)
-    assert [reader(point, 1) for point in points] == [[x * y**2, y**3] for x, y in points]
-    assert len(built) == 9
+    # and two variables per polynomial along all six lines
+    assert len(list(_series_at(polys, 3, points))) == 6
+    assert len(built) == 10
 
 
-@pytest.mark.parametrize("den,top", [(1, 4), (3, 4), (-2, 6)])
-def test_monomials_at_one_point_in_one_batch(den, top):
-    exponents = [(0, 0, 0), (1, 0, 2), (0, 4, 0), (2, 1, 1)]
-    monomials_at = _monomials_at(exponents, top)
-    for point in ([5, -3, 7], [-2, 0, 11]):
-        expected = [
-            point[0] ** a * point[1] ** b * point[2] ** c * den ** (top - a - b - c)
-            for a, b, c in exponents
-        ]
-        assert monomials_at(point, den) == expected
-    assert _monomials_at([], top)(point, den) == []
+def series_by_degree(p, point, top):
+    """p's coefficients of t^0, ..., t^top at t p, summed from its decoded terms."""
+    coefficients = [Fraction(0)] * (top + 1)
+    for alpha, c in p.terms.items():
+        if sum(alpha) <= top:
+            coefficients[sum(alpha)] += c * prod(map(pow, point, alpha))
+    return coefficients
+
+
+@given(polynomials_and_points(), st.integers(0, 12))
+@example((WIDE, [Fraction(1), Fraction(-2), Fraction(3), Fraction(7), Fraction(-1)]), 4)
+def test_series_along_lines_matches_the_terms_by_degree(case, top):
+    p, point = case
+    polys = [p, p * Fraction(2, 3) + Fraction(1, 5), p * p * Fraction(-5, 7), Polynomial.zero(p.n)]
+    lines = [[v.numerator for v in point], [v.denominator - 3 for v in point]]
+    for (coefficients, d), line in zip(_series_at(polys, top, lines), lines, strict=True):
+        expected = [series_by_degree(q, line, top) for q in polys]
+        assert [[Fraction(c, d) for c in row] for row in coefficients] == expected
 
 
 def test_derivative():
