@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from itertools import chain
 
 from . import bergman as bergman_mod
@@ -28,7 +27,7 @@ from .conjugation import (
     solve_conjugacy,
 )
 from .errors import BudgetExceeded, ParseError, QuasicircError, WeightMismatch
-from .linalg import LinearMap
+from .linalg import LinearMap, as_fraction
 from .poly import format_poly_map, parse_poly_map
 from .resonant import DEFAULT_POOL, TriangularResonantMap, invert_sigma, random_sigma
 from .weights import WeightVector, block_partition, resonance_profile, resonance_set
@@ -45,7 +44,7 @@ def _pool_arg(text: str):
     if text == "":
         return ()
     try:
-        return tuple(Fraction(tok) for tok in text.split(","))
+        return tuple(as_fraction(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
 

@@ -87,4 +87,4 @@ class ParseError(QuasicircError):
 class BudgetExceeded(QuasicircError):
     """A result is too large to produce, such as an integer with more digits
     than `sys.get_int_max_str_digits()` allows in its decimal output, or a
-    search ran past its cap, such as a conjugacy solve's point count."""
+    search ran past its cap, such as a conjugacy solve's line count."""

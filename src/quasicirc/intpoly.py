@@ -25,10 +25,10 @@ Fraction; `shift`, which applies a triangular map z + g by one Taylor shift
 per variable, feeds the same pair loop `_accumulate`; through
 `PolyMap._shift` it serves `compose_sigma`, both conjugation routes and,
 lazily, `invert_sigma`.  `evaluate` and `series` are their counterpart
-for values at a stream of points and along the lines through them, with no
-Fraction: they read the columns from packed keys, and each column's
-distinct exponents, once per stream, and `products` takes both at every
-point.
+for the value at one point and along the lines through a stream of points,
+with no Fraction: `columns_of` reads the exponent columns from packed keys,
+and each column's distinct exponents, once per call, and `products` takes
+both at every point.
 """
 
 from __future__ import annotations
@@ -79,16 +79,6 @@ def reduced(n: int, num: Dict[int, int], den: int, w: int) -> tuple:
         new = width(n, degree(num, w))
         num, w = repack(num, n, w, new), new
     return num, den // g, w
-
-
-def over_lcm(terms: Dict) -> tuple:
-    """Fractions as (integer numerators, lcm of denominators).
-
-    That is canonical without a gcd when no value is zero: a prime's top
-    power in the lcm divides some denominator, and so not its numerator.
-    """
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
 
 
 def sum_of_products(n: int, products, den: int = 1) -> tuple:
@@ -174,29 +164,21 @@ def shift(n: int, parts, values=None, bound: int = 0) -> list:
     return [reduced(n, num, den, w) for num, den in out]
 
 
-def evaluate(n: int, parts, points, den: int = 1):
-    """(numerators, d) of the values of term maps at each of a stream of points.
+def evaluate(num: Dict[int, int], w: int, point, den: int = 1) -> int:
+    """The sum of c x^alpha den^(D - |alpha|) over the terms c z^alpha packed in num at width w.
 
-    Each part is (num, d, w) as `Polynomial` stores it, and a point holds
-    integers x_j read as x_j / den.  The columns are read from the keys once
-    per stream, column j as key >> (j - 1) w & mask and a term's degree as
-    key mod 2^w - 1, and no exponent tuple is built.  Every term is made
-    homogeneous of the top degree D with a power of den, so a point yields
-    one integer sum of `products` per part, over d = lcm(d's) * den^D.
+    The point holds integers x_j and D is the total degree, so the value at
+    x / den is the result over den^D.  A term's degree is its key mod
+    2^w - 1, and no exponent tuple is built.
     """
-    common = lcm(*(d for _, d, _ in parts))
-    top = max((degree(num, w) for num, _, w in parts), default=0)
-    readers = []
-    for num, d, w in parts:
-        mask, keys, scale = (1 << w) - 1, num.keys(), common // d
-        columns = [[key >> at & mask for key in keys] for at in range(0, n * w, w)]
-        if den != 1:
-            columns.append([top - key % mask for key in keys])
-        readers.append(([c * scale for c in num.values()], [(col, set(col)) for col in columns]))
-    common *= den**top
-    for point in points:
-        bases, powers = [*point, den], {}
-        yield [sum(products(v, columns, bases, powers)) for v, columns in readers], common
+    keys, bases = num.keys(), [*point]
+    readers = columns_of(keys, len(bases), w)
+    if den != 1:
+        mask, top = (1 << w) - 1, degree(num, w)
+        column = [top - key % mask for key in keys]
+        readers.append((column, set(column)))
+        bases.append(den)
+    return sum(products(num.values(), readers, bases, {}))
 
 
 def series(polys, top: int, points):
@@ -216,11 +198,8 @@ def series(polys, top: int, points):
         num, w, scale = p._num, p._width, common // p._den
         mask = (1 << w) - 1
         keys = [key for key in num if key % mask <= top]
-        columns = [[key >> at & mask for key in keys] for at in range(0, p.n * w, w)]
-        readers.append((
-            [key % mask for key in keys], [num[key] * scale for key in keys],
-            [(col, set(col)) for col in columns],
-        ))
+        values = [num[key] * scale for key in keys]
+        readers.append(([key % mask for key in keys], values, columns_of(keys, p.n, w)))
     for point in points:
         powers: Dict = {}
         coefficients = []
@@ -230,6 +209,13 @@ def series(polys, top: int, points):
                 row[e] += value
             coefficients.append(row)
         yield coefficients, common
+
+
+def columns_of(keys, n: int, w: int) -> list:
+    """(column_j, its distinct exponents), j = 1..n: key >> (j - 1) w & mask for each key."""
+    mask = (1 << w) - 1
+    cols = ([key >> at & mask for key in keys] for at in range(0, n * w, w))
+    return [(col, set(col)) for col in cols]
 
 
 def products(values, columns, bases, powers: Dict):

@@ -5,21 +5,26 @@ tolerances anywhere, and singularity/inconsistency detection is exact.
 Both eliminations run on Python ints inside.
 
 Two routines own the package's rational boundary.  `as_fraction` is the way
-in: every rational the library accepts passes through it, and it rejects a
-float or a bool (a JSON true or false) with `TypeError`.  `exact_text` is
-the way out: every writer prints an exact rational through it, and it turns
-an integer past `sys.get_int_max_str_digits()` into `BudgetExceeded`.
+in: every rational the library accepts passes through it, `--pool` too, and
+it rejects a float or a bool (a JSON true or false) with `TypeError`.
+`exact_text` is the way out: every writer prints an exact rational through
+it, and it turns an integer past `sys.get_int_max_str_digits()` into
+`BudgetExceeded`.
 
 `solve_exact` is the one linear solver, and `LinearMap.inverse` solves for
 its columns with it.  `LinearMap.determinant` runs Bareiss's fraction-free
 elimination (Math. Comp. 22, 1968), the invertibility test before every
 conjugation and every sampled matrix, on matrices of size 1 to about 4.
-`_integral` clears a vector's denominators and returns their lcm, for each
-row of `solve_exact`, of `LinearMap.determinant` and of the conjugacy points.
+`_integral` clears a vector's denominators and returns their lcm, for the
+rows of `solve_exact`, `LinearMap.determinant`, J in the conjugacy line rows
+and `PolyMap.from_linear`, the `Polynomial` constructor's terms and the
+point of `Polynomial.evaluate`.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -27,18 +32,27 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, SingularLinearMap
 
+# the exponent of a decimal string as `Fraction` reads it, e.g. the -1 of 2.5e-1
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
+
 
 def as_fraction(value) -> Fraction:
     """Promote an exact rational literal (int, Fraction, or 'p/q' string).
 
     A Fraction is immutable and already exact, so it is returned as given.
     Floats are rejected: they would silently break the exactness contract.
-    So are bools, which `Fraction` would read as 1 and 0.
+    So are bools, which `Fraction` would read as 1 and 0.  A string's decimal
+    exponent, as in `2.5e-1`, past `sys.get_int_max_str_digits()` in magnitude
+    raises ValueError, as `int` does for that power of ten in digits.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"exact rational required, got {type(value).__name__} {value!r}")
+    if isinstance(value, str) and (exponent := _EXPONENT.search(value)):
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"decimal exponent {exponent[1]} exceeds the limit of {limit} digits")
     return Fraction(value)
 
 
@@ -186,7 +200,12 @@ def _primitive(vec) -> Optional[tuple]:
 
 
 def _integral(vec) -> tuple:
-    """(integers, lcm): an exact rational vector scaled by the lcm of its denominators."""
+    """(integers, lcm): an exact rational vector scaled by the lcm of its denominators.
+
+    With no zero entry, as in the `Polynomial` constructor, the result is
+    canonical without a gcd: a prime's top power in the lcm divides some
+    denominator, and so not its numerator.
+    """
     den = lcm(*(x.denominator for x in vec))
     return [x.numerator * (den // x.denominator) for x in vec], den
 

@@ -22,11 +22,12 @@ a top degree cancelled; a one-term power raises its key as key * e.  The
 readers that need exponent tuples (`exponents()`, `terms`, `coefficient()`,
 the weighted-degree readers and `substitute`'s outer loop) share one decode
 per polynomial, made on first use and kept.  `terms` is a read-only
-Fraction view built on it.  Values at points (`_evaluate_at`) and series
-along lines (`_series_at`) read the packed keys instead.  Every public
-result still gives Fractions.  Only this module and `intpoly` know the
-storage: the package's other modules go through `exponents()`, `terms`,
-`_evaluate_at` and `_series_at`, which is `intpoly.series` re-exported.
+Fraction view built on it.  The value at a point (`evaluate`, on
+`intpoly.evaluate`) and series along lines (`_series_at`) read the packed
+keys instead.  Every public result still gives Fractions.  Only this module
+and `intpoly` know the storage: the package's other modules go through
+`exponents()`, `terms`, `evaluate` and `_series_at`, which is
+`intpoly.series` re-exported.
 
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, with exact rational literals `p/q`.  The syntax is
@@ -44,9 +45,9 @@ from typing import Dict, KeysView, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, DoesNotFixOrigin
 from .errors import IndexOutOfRange, ParseError
-from .intpoly import degree, evaluate, over_lcm, reduced, repack
+from .intpoly import degree, evaluate, reduced, repack
 from .intpoly import series as _series_at, shift, sum_of_products, unpack, width
-from .linalg import LinearMap, as_fraction, exact_text
+from .linalg import LinearMap, _integral, as_fraction, exact_text
 from .weights import MultiIndex, WeightVector, weighted_degree
 
 
@@ -72,7 +73,8 @@ class Polynomial:
                 clean[alpha] = coeff
         w = width(n, max(map(sum, clean), default=0))
         shifts = range(0, n * w, w)
-        exps, self._den = over_lcm(clean)
+        numerators, self._den = _integral(clean.values())
+        exps = dict(zip(clean, numerators))
         self.n, self._width, self._exps, self._terms = n, w, exps, clean
         self._num = {sum(map(lshift, alpha, shifts)): c for alpha, c in exps.items()}
 
@@ -250,11 +252,11 @@ class Polynomial:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point, put over one common denominator."""
-        numerators, den = over_lcm(dict(enumerate(map(as_fraction, point))))
+        numerators, den = _integral([as_fraction(x) for x in point])
         if len(numerators) != self.n:
             raise DimensionMismatch(f"point has length {len(numerators)}, expected {self.n}")
-        (value,), d = next(_evaluate_at([self], [numerators.values()], den))
-        return Fraction(value, d)
+        value = evaluate(self._num, self._width, numerators, den)
+        return Fraction(value, self._den * den ** self.total_degree())
 
     __call__ = evaluate
 
@@ -317,16 +319,6 @@ class Polynomial:
         return f"Polynomial({self.n}, {self!s})"
 
 
-def _evaluate_at(polys: Sequence[Polynomial], points, den=1):
-    """(numerators, d) of the polynomials' values at each of a stream of points.
-
-    A point holds integers x_j, read as x_j / den (see `intpoly.evaluate`).
-    Each polynomial's columns are read from its packed keys once for the
-    whole stream, and no exponent tuple is decoded.
-    """
-    return evaluate(polys[0].n, [(p._num, p._den, p._width) for p in polys], points, den)
-
-
 class PolyMap:
     """An n-tuple of polynomials in n variables, i.e. a self-map of C^n."""
 
@@ -351,7 +343,8 @@ class PolyMap:
     def from_linear(cls, linear: LinearMap) -> "PolyMap":
         """The linear map z -> A z as a polynomial map."""
         n, w = linear.n, width(linear.n, 1)
-        rows = [over_lcm({1 << j * w: x for j, x in enumerate(row) if x}) for row in linear.rows]
+        rows = [({1 << j * w: c for j, c in enumerate(num) if c}, den)
+                for num, den in map(_integral, linear.rows)]
         # reduced gives an all-zero row the zero polynomial's width
         return cls([Polynomial._from_ints(n, *reduced(n, num, den, w)) for num, den in rows])
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -201,6 +202,25 @@ def test_overlong_numeral_in_map_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "solve", "--weights", "1,2", "--map", str(path))
     assert code == 2 and not out
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_exponent_past_the_digit_limit_exits_two(capsys, tmp_path, int_string_limit):
+    # each would build a power of ten of a billion digits
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps({"weights": [1, 2], "g": {"2": {"2,0": "1e999999999"}}}))
+    linear = tmp_path / "linear.json"
+    linear.write_text(json.dumps([["1e999999999", "0"], ["0", "1"]]))
+    for argv in (
+        ("sigma", "random", "--weights", "1,2", "--seed", "1", "--pool", "1e999999999"),
+        ("sigma", "random", "--weights", "1,2", "--seed", "1", "--pool=1,1e-999999999"),
+        ("sigma", "invert", "--map", str(sigma)),
+        ("violate", "--weights", "1,2", "--linear", str(linear), "--trials", "8", "--seed", "3"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "error: " in err and "Traceback" not in err
 
 
 def test_overlong_result_is_a_budget_error(capsys, tmp_path, int_string_limit):

@@ -541,7 +541,7 @@ def test_solve_builds_a_pinned_system(monkeypatch):
     assert seen == [(2, 2, 1), (16, 16, 8)]
 
 
-def test_block_diagonal_linear_part_needs_points_per_block(monkeypatch):
+def test_block_diagonal_linear_part_needs_lines_per_block(monkeypatch):
     # at weights (1, 2, 3) a block-diagonal J is diagonal: the two unknowns of
     # component 3, of degrees 2 and 3, see only its rows of degrees 2 and 3,
     # so one line of 3 * 2 rows fixes them
@@ -558,7 +558,7 @@ def test_block_diagonal_linear_part_needs_points_per_block(monkeypatch):
 
 def test_solve_rejects_a_map_above_the_degree_bound(monkeypatch):
     # every conjugate at weights (1, 2) has degree at most 2^2, so no system
-    # is built, and no point is evaluated, for a degree-100000 map
+    # is built, and no line is read, for a degree-100000 map
     seen = record_systems(monkeypatch)
     with pytest.raises(NoResonantConjugacy, match="no triangular"):
         solve_conjugacy(parse_poly_map("z1 + z1^100000\nz2"), W12)
@@ -583,7 +583,7 @@ def test_a_solve_reads_each_resonance_set_once(monkeypatch):
     assert sorted(calls) == [1, 2, 3, 4]
 
 
-def test_rank_deficient_points_add_points_up_to_js_free_count(monkeypatch):
+def test_rank_deficient_lines_add_lines_up_to_js_free_count(monkeypatch):
     # under diag(2, 3, 4) at weights (1, 1, 2) the monomial z1^2 is resonant
     # (4 = 2 * 2), so its coefficient is free and the other two are fixed
     w = WeightVector((1, 1, 2))
@@ -607,14 +607,14 @@ def test_rank_deficient_points_add_points_up_to_js_free_count(monkeypatch):
     assert seen == [(3, 3, 3), (3, 3, 3), (6, 6, 3)]
 
 
-def test_mixing_solve_at_n5_stays_on_the_point_path(monkeypatch):
+def test_mixing_solve_at_n5_stays_on_the_line_path(monkeypatch):
     # component 5 holds 13 of the 21 unknowns, of degrees 2 to mu = 8, and
     # fills at most two rows of each degree a line, so one line of
     # 5 * 7 rows fixes them all
     seen = record_systems(monkeypatch)
 
     def no_commutant(*args):
-        raise AssertionError("a unique point solution needed J's free count")
+        raise AssertionError("a unique line solution needed J's free count")
 
     monkeypatch.setattr(quasicirc.conjugation, "_coefficient_system", no_commutant)
     w = WeightVector((1, 2, 3, 5, 8))
@@ -624,7 +624,7 @@ def test_mixing_solve_at_n5_stays_on_the_point_path(monkeypatch):
     assert seen == [(35, 35, 21)]
 
 
-def test_points_that_gain_no_rank_exceed_the_budget(monkeypatch, capsys):
+def test_lines_that_gain_no_rank_exceed_the_budget(monkeypatch, capsys):
     # J = diag(-1, -1/2, -2, 2): the four unknowns of component 4 of degree
     # at least 3 fill one row of each of the degrees 3, 4 and 5 a line, so
     # two lines are taken
@@ -737,7 +737,7 @@ def solve_outcome(solve, f, weights):
     return solution.sigma, solution.linear, solution.residual_zero, solution.free_parameters
 
 
-def test_point_system_agrees_with_coefficient_system():
+def test_line_system_agrees_with_coefficient_system():
     paths = set()
     for f, w in differential_cases():
         outcome = solve_outcome(solve_conjugacy, f, w)
@@ -783,7 +783,7 @@ def first_rows(stream, lines=6):
     return out
 
 
-def test_point_rows_are_positive_multiples_of_the_fraction_rows():
+def test_line_rows_are_positive_multiples_of_the_fraction_rows():
     dens = set()
     for f, w in row_cases():
         j_matrix = f.linear_part()

@@ -255,6 +255,17 @@ def test_as_fraction_rejects_bools(value):
         as_fraction(value)
 
 
+def test_as_fraction_reads_decimal_exponents_up_to_the_digit_limit(int_string_limit):
+    assert as_fraction("1e3") == 1000
+    assert as_fraction("2.5e-1") == Fraction(1, 4)
+    assert as_fraction(f"1e{int_string_limit}") == 10**int_string_limit
+    # past the limit the power of ten is never built, as int() never reads
+    # the same value written out in digits
+    for text in ("1e999999999", "1e-999999999", f"1E+{int_string_limit + 1}"):
+        with pytest.raises(ValueError, match="exponent"):
+            as_fraction(text)
+
+
 def test_exact_text_names_the_budget_error(int_string_limit):
     edge = 10 ** (int_string_limit - 1)  # the longest that still prints
     assert exact_text(Fraction(-edge, 3)) == f"-{edge}/3"

@@ -2,7 +2,7 @@ import inspect
 import random
 import sys
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +22,7 @@ from quasicirc import (
 )
 import quasicirc.intpoly
 from quasicirc.intpoly import DIGIT_BITS, width
-from quasicirc.poly import _evaluate_at, _series_at
+from quasicirc.poly import _series_at
 from oracles import (
     random_poly_map,
     random_polynomial,
@@ -603,6 +603,19 @@ def test_linear_part():
     assert f.linear_part() == LinearMap(((2, 0), (0, 3)))
 
 
+def test_from_linear_matches_the_constructor_row_by_row():
+    # rows over denominators 2, 3 and 6, and an all-zero row
+    h, t, s = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    linear = LinearMap(((h, 0, 3, 0), (0, t, 0, -2 * t), (s, -h, 2 * t, 0), (0, 0, 0, 0)))
+    f = PolyMap.from_linear(linear)
+    unit = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    for row, p in zip(linear.rows, f, strict=True):
+        assert_canonical(p)
+        assert p == Polynomial(4, dict(zip(unit, row)))
+    assert [p._den for p in f] == [2, 3, 6, 1]
+    assert f.component(4).is_zero() and f.linear_part() == linear
+
+
 def test_linear_part_requires_fixed_origin():
     f = PolyMap((var(2, 1) + 1, var(2, 2)))
     assert not f.fixes_origin()
@@ -624,6 +637,10 @@ def test_evaluate():
     p = parse_polynomial("z1^1000000 - 3", 1)
     assert p.evaluate((2,)) == 2**1000000 - 3
     assert p.evaluate((Fraction(1, 2),)) == Fraction(1 - 3 * 2**1000000, 2**1000000)
+    # at +-1 even a billionth power is one digit
+    p = parse_polynomial("z1^1000000000 + z1 - 3", 1)
+    assert p.evaluate((1,)) == -1
+    assert p.evaluate((-1,)) == -3
 
 
 @st.composite
@@ -640,11 +657,8 @@ def polynomials_and_points(draw):
 
 
 def values_at(polys, point):
-    """The polynomials' values at one rational point, through the integer stream."""
-    den = lcm(*(v.denominator for v in point))
-    numerators = [v.numerator * (den // v.denominator) for v in point]
-    values, d = next(_evaluate_at(polys, [numerators], den))
-    return [Fraction(v, d) for v in values]
+    """The polynomials' values at one rational point, one `evaluate` each."""
+    return [q.evaluate(point) for q in polys]
 
 
 WIDE = Polynomial(5, {(90, 0, 3, 0, 1): Fraction(-3, 2), (0, 2, 0, 0, 0): 5, (0, 0, 0, 0, 0): 1})
@@ -656,7 +670,7 @@ def test_evaluate_matches_schoolbook(case):
     p, point = case
     assert p.evaluate(point) == schoolbook_evaluate(p, point)
     assert p.evaluate([str(v) for v in point]) == schoolbook_evaluate(p, point)
-    # several polynomials with unlike denominators and degrees share one power cache
+    # polynomials with unlike denominators and degrees, the zero polynomial among them
     polys = [p, p * Fraction(2, 3) + Fraction(1, 5), p * p * Fraction(-5, 7), Polynomial.zero(p.n)]
     for at in (point, [Fraction(v.numerator) for v in point]):
         assert values_at(polys, at) == [schoolbook_evaluate(q, at) for q in polys]
@@ -694,16 +708,15 @@ class CountingTerms(dict):
         return super().values()
 
 
-def test_a_stream_of_points_reads_each_polynomial_once():
+def test_evaluate_reads_the_keys_and_numerators_once():
     z1, z2 = var(2, 1), var(2, 2)
-    polys = [(z1 - 3 * z2) ** 5 * Fraction(1, 7), z1 * z2**2 + Fraction(1, 2)]
-    expected = [[q.evaluate(point) for q in polys] for point in ((k, 1 - k) for k in range(6))]
-    for q in polys:
-        q._num = CountingTerms(q._num)
-    stream = _evaluate_at(polys, ([k, 1 - k] for k in range(6)))
-    assert [[Fraction(v, d) for v in values] for values, d in stream] == expected
-    # the keys once for the columns and the numerators once, per polynomial
-    assert [q._num.reads for q in polys] == [2, 2]
+    p = (z1 - 3 * z2) ** 5 * Fraction(1, 7) + z1 * z2**2
+    for point in ((2, -1), (Fraction(1, 3), Fraction(-5, 2))):
+        expected = schoolbook_evaluate(p, point)
+        p._num = CountingTerms(p._num)
+        assert p.evaluate(point) == expected
+        # the keys once for the columns and the numerators once
+        assert p._num.reads == 2
 
 
 def test_a_stream_of_points_takes_each_columns_exponents_once(monkeypatch):
@@ -716,14 +729,18 @@ def test_a_stream_of_points_takes_each_columns_exponents_once(monkeypatch):
         return set(column)
 
     monkeypatch.setattr(quasicirc.intpoly, "set", counting_set, raising=False)
-    points = [[k, 1 - k] for k in range(6)]
-    values = list(_evaluate_at(polys, points, 3))
-    assert len(values) == 6
-    # two variables and the power of den, per polynomial, for all six points
-    assert len(built) == 6
+    # two variables and the power of den at a rational point
+    assert polys[0].evaluate((Fraction(1, 3), Fraction(2, 3))) == schoolbook_evaluate(
+        polys[0], (Fraction(1, 3), Fraction(2, 3))
+    )
+    assert len(built) == 3
+    # two variables at an integer point
+    assert polys[1].evaluate((2, -1)) == Fraction(5, 2)
+    assert len(built) == 5
     # and two variables per polynomial along all six lines
+    points = [[k, 1 - k] for k in range(6)]
     assert len(list(_series_at(polys, 3, points))) == 6
-    assert len(built) == 10
+    assert len(built) == 9
 
 
 def series_by_degree(p, point, top):
