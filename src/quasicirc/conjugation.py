@@ -14,16 +14,20 @@ z_j -> z_j + g_j at a time.  `solve_conjugacy` goes the other way: it
 recovers (sigma, J) with sigma . f = J . sigma from f alone by solving an
 exact linear system for the finitely many admissible coefficients of g.
 
-A map above the degree any conjugate can reach is rejected at once.  As
-sigma and J . sigma have degree at most the resonance order mu, the
-equations of degree at most mu leave at most J's free count and fix sigma
-whenever one exists.  They are taken on fixed lines t p through the origin,
-reading only f's terms of degree at most mu, one line more at a time while
-more unknowns stay free than in J's own system g . J = J . g, the one
-coefficient system built.  Then an inconsistent line system proves that no
-sigma exists, and its solution with the free unknowns zero is the candidate
-that one exact conjugation accepts or rejects; generic lines lose no rank
-(Schwartz, J. ACM 27(4), 1980; Zippel, EUROSAM 1979).
+The solve first applies the paper's bound.  When J is block-diagonal,
+every conjugate has m_i-homogeneous components, so a map with a component
+that is not i-resonant is rejected before any line; when J mixes blocks,
+only a map above degree mu^2 is.  As sigma and J . sigma have degree at
+most the resonance order mu, the equations of degree at most mu leave at
+most J's free count and fix sigma whenever one exists.  They are taken on
+fixed lines t p through the origin, reading only f's terms of degree at
+most mu, one line more at a time while more unknowns stay free than in J's
+own system g . J = J . g, the one coefficient system built.  Then an
+inconsistent line system proves that no sigma exists, and its solution
+with the free unknowns zero is the candidate that one exact conjugation
+accepts or rejects; that residual serves a mixing J and faults above mu.
+Generic lines lose no rank (Schwartz, J. ACM 27(4), 1980; Zippel,
+EUROSAM 1979).
 """
 
 from __future__ import annotations
@@ -185,6 +189,19 @@ def find_violation(
     bound always holds, so the call is rejected).  Returns the first witness
     in a deterministic seeded stream, or None after the trial budget; absence
     of a witness is not a proof that none exists.
+
+    Why the bound holds.  Call a map filtered when its component i has only
+    monomials of weighted degree at most m_i.  Filtered maps are closed
+    under composition: substituting terms of weighted degree at most m_j
+    for z_j keeps a monomial of weighted degree at most m_i there.  sigma
+    and tau = sigma^{-1} are filtered, being triangular resonant, and so is
+    a block-lower L, with L_ij = 0 whenever m_i < m_j.  So the conjugate of
+    a block-lower L is filtered, of degree at most max{|alpha| : m . alpha
+    <= m_i} in component i, which is mu_i when m_1 = 1.  A block-diagonal L
+    is also block-upper, so the same argument with "at least" bounds every
+    monomial from below: component i of its conjugate is m_i-homogeneous,
+    i-resonant, of degree at most mu.  `solve_conjugacy` rejects a map that
+    is not, under a block-diagonal linear part, before it builds any line.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -301,11 +318,16 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     J is forced to be the linear part of f.  The unknowns are the nonlinear
     resonant coefficients of g (sigma = id + g); both sides of the equation
     are affine in them -- the left through g_i(f), the right through J g --
-    so the equation is an exact linear system.  sigma and its inverse are
-    triangular resonant, of total degree at most the resonance order mu
-    (the largest degree of an unknown monomial, or 1), so every conjugate
-    sigma^{-1} . J . sigma has degree at most mu^2, and a map of higher
-    degree is rejected at once.
+    so the equation is an exact linear system.
+
+    The paper's bound comes first, and rejects a map before any line.  For
+    a block-diagonal J every conjugate sigma^{-1} . J . sigma has component
+    i m_i-homogeneous (i-resonant; see `find_violation`), so a map with a
+    component that is not is rejected.  For a mixing J, sigma and its
+    inverse are triangular resonant, of total degree at most the resonance
+    order mu (the largest degree of an unknown monomial, or 1), so every
+    conjugate has degree at most mu^2, and a map of higher degree is
+    rejected.  Either check is necessary, so every solvable map passes it.
 
     Otherwise the system is taken on lines t p through the origin, as the
     coefficients of t^2, ..., t^mu: enough lines for each component's
@@ -326,7 +348,8 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     - otherwise sigma, the free unknowns zero, is the candidate.  The exact
       residual conjugate(sigma, J) == f, equivalent to sigma . f == J . sigma
       because sigma is invertible, accepts it or proves NoResonantConjugacy;
-      it alone reads f's terms above degree mu.
+      it alone reads f's terms above degree mu, so it serves a mixing J and
+      a fault above mu.
 
     Generic lines lose no rank, but fixed ones can: if K + 1 lines past
     `_line_count`, for K unknowns, still leave more free than J's count,
@@ -348,7 +371,12 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     ]
     # every resonance set E_i holds e_i, so this is the resonance order
     mu = max((sum(alpha) for _, alpha in unknowns), default=1)
-    if f.total_degree() > mu**2:
+    block_diagonal = is_block_diagonal(j_matrix, block_partition(weights))
+    if block_diagonal:
+        admissible = all(part.is_i_resonant(weights, i) for i, part in enumerate(f.components, 1))
+    else:
+        admissible = f.total_degree() <= mu**2
+    if not admissible:
         raise NoResonantConjugacy(_NO_SIGMA)
     lines = _line_rows(f, j_matrix, unknowns, mu)
     rows: List[List[int]] = []
@@ -370,7 +398,7 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         raise BudgetExceeded(f"{len(unknowns) + 1} more lines left more free than J's system")
     solution, free_count = solved
     sigma = make_sigma(weights, {key: value for key, value in zip(unknowns, solution) if value})
-    if _conjugate(sigma, j_matrix, is_block_diagonal(j_matrix, block_partition(weights))) != f:
+    if _conjugate(sigma, j_matrix, block_diagonal) != f:
         raise NoResonantConjugacy(
             "the only candidate map does not conjugate this map to its linear part"
         )

@@ -204,8 +204,11 @@ def _integral(vec) -> tuple:
 
     With no zero entry, as in the `Polynomial` constructor, the result is
     canonical without a gcd: a prime's top power in the lcm divides some
-    denominator, and so not its numerator.
+    denominator, and so not its numerator.  An all-int vector, as a conjugacy
+    line row, is returned as a list over 1 at once.
     """
+    if all(type(x) is int for x in vec):
+        return list(vec), 1
     den = lcm(*(x.denominator for x in vec))
     return [x.numerator * (den // x.denominator) for x in vec], den
 

@@ -18,11 +18,15 @@ from quasicirc import (
     BudgetExceeded,
     LinearMap,
     Polynomial,
+    PolyMap,
     WeightVector,
     bergman,
     cli,
+    conjugate,
     format_polynomial,
     make_sigma,
+    parse_poly_map,
+    random_block_diagonal_map,
     random_sigma,
 )
 
@@ -172,6 +176,22 @@ def test_every_error_name_reachable(capsys, error_name, argv):
     assert code == 1
     assert json.loads(out) == {"error": error_name}
     assert err  # a human-readable diagnostic accompanies the payload
+
+
+def test_bumped_block_diagonal_map_exits_one(capsys):
+    # sigma^-1 J sigma at (1, 2, 3, 5) for a block-diagonal J (sigma seed 3,
+    # J seed 4), plus z1^6 in component 4, where weighted degree 6 is not m_4
+    w = WeightVector((1, 2, 3, 5))
+    f = conjugate(random_sigma(w, 3), random_block_diagonal_map(w, 4))
+    bump = Polynomial.monomial(w.n, (6, 0, 0, 0))
+    path = DATA / "map_bumped_1235.txt"
+    assert parse_poly_map(path.read_text(encoding="utf-8")) == PolyMap(
+        f.components[:-1] + (f.components[-1] + bump,)
+    )
+    code, out, err = run_cli(capsys, "solve", "--weights", "1,2,3,5", "--map", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": "NoResonantConjugacy"}
+    assert "no triangular" in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -549,19 +549,24 @@ def test_block_diagonal_linear_part_needs_lines_per_block(monkeypatch):
     w = WeightVector((1, 2, 3))
     f = conjugate(random_sigma(w, 3), LinearMap(((2, 0, 0), (0, 3, 0), (0, 0, 5))))
     assert solve_conjugacy(f, w).residual_zero
-    # the bump z1^4 lies above mu = 3, where no line row looks, so the line
-    # system is solvable and only the exact residual rejects the candidate
-    with pytest.raises(NoResonantConjugacy, match="only candidate"):
+    # the bump z1^4 in component 3 has weighted degree 4, not m_3 = 3, and
+    # under a block-diagonal J every conjugate's component i is
+    # m_i-homogeneous, so the map is rejected before any line
+    with pytest.raises(NoResonantConjugacy, match="no triangular"):
         solve_conjugacy(bumped(f, w), w)
-    assert seen == [(6, 6, 3), (6, 6, 3)]
+    assert seen == [(6, 6, 3)]
 
 
 def test_solve_rejects_a_map_above_the_degree_bound(monkeypatch):
     # every conjugate at weights (1, 2) has degree at most 2^2, so no system
-    # is built, and no line is read, for a degree-100000 map
+    # is built, and no line is read, for a degree-100000 map; under the
+    # identity every component must also be i-resonant, and under a J that
+    # mixes blocks only the degree bound applies
     seen = record_systems(monkeypatch)
     with pytest.raises(NoResonantConjugacy, match="no triangular"):
         solve_conjugacy(parse_poly_map("z1 + z1^100000\nz2"), W12)
+    with pytest.raises(NoResonantConjugacy, match="no triangular"):
+        solve_conjugacy(parse_poly_map("z1 + z1^100000\nz1 + z2"), W12)
     assert seen == []
 
 
@@ -688,6 +693,57 @@ def bumped(f, weights):
     n, m = weights.n, weights.m
     bump = Polynomial.monomial(n, (m[-1] + 1,) + (0,) * (n - 1))
     return PolyMap(f.components[:-1] + (f.components[-1] + bump,))
+
+
+def no_lines(monkeypatch):
+    """Make building a line row fail the test."""
+    def refuse(*args):
+        raise AssertionError("a line was built")
+
+    monkeypatch.setattr(quasicirc.conjugation, "_line_rows", refuse)
+
+
+def oracle_finds_no_sigma(f, weights):
+    outcome = solve_outcome(coefficient_solve, f, weights)
+    return outcome is NoResonantConjugacy or not outcome[2]
+
+
+@pytest.mark.parametrize("m", WEIGHT_SET)
+def test_resonant_gate_passes_every_block_diagonal_conjugate(m, monkeypatch):
+    # sigma^-1 J sigma for a block-diagonal J has m_i-homogeneous components,
+    # so the gate lets it through, and the solve finds what the coefficient
+    # oracle finds; its bump z1^(m_n+1) in component n is not m_n-homogeneous,
+    # so it is rejected before any line or system
+    w = WeightVector(m)
+    for seed in range(3):
+        f = conjugate(random_sigma(w, seed), random_block_diagonal_map(w, seed + 20))
+        solution = solve_conjugacy(f, w)
+        expected = coefficient_solve(f, w)
+        assert solution.residual_zero and expected.residual_zero
+        assert json.dumps(solution.sigma.to_json_dict()) == json.dumps(expected.sigma.to_json_dict())
+        assert solution.free_parameters == expected.free_parameters
+        with monkeypatch.context() as patch:
+            seen = record_systems(patch)
+            no_lines(patch)
+            with pytest.raises(NoResonantConjugacy, match="no triangular"):
+                solve_conjugacy(bumped(f, w), w)
+        assert seen == []
+        if w.n <= 3:
+            assert oracle_finds_no_sigma(bumped(f, w), w)
+
+
+def test_resonant_gate_rejects_a_wrong_weight_term_below_mu(monkeypatch):
+    # z2^2 has degree 2 <= mu = 3 but weighted degree 4, not m_2 = 2, under
+    # the diagonal J = diag(2, 3, 5)
+    w = WeightVector((1, 2, 3))
+    f = parse_poly_map("2 z1\n3 z2 + z2^2\n5 z3")
+    assert f.total_degree() <= 3
+    assert oracle_finds_no_sigma(f, w)
+    seen = record_systems(monkeypatch)
+    no_lines(monkeypatch)
+    with pytest.raises(NoResonantConjugacy, match="no triangular"):
+        solve_conjugacy(f, w)
+    assert seen == []
 
 
 def lower_mixing(w):
