@@ -156,10 +156,11 @@ def shift(n: int, parts, values=None, bound: int = 0) -> list:
                 continue
             while len(powers) <= top:
                 powers.append(_accumulate({}, powers[-1], step, 1).items())
-            acc = {key: c * d**top for key, c in groups.pop(0, ())}
+            scale = d**top
+            acc = {key: c * scale for key, c in groups.pop(0, ())}
             for e, group in groups.items():
                 _accumulate(acc, group, powers[e], d ** (top - e))
-            shifted.append((acc, den * d**top))
+            shifted.append((acc, den * scale))
         out[start:] = shifted
     return [reduced(n, num, den, w) for num, den in out]
 

@@ -173,9 +173,16 @@ def weighted_exponents(weights, target: int):
     Accepts a WeightVector or a plain weight tuple.  A negative target has no
     solutions; target 0 has exactly the zero multi-index.  The prefixes of
     all but the last three entries are built level by level, so any n works.
-    The third-to-last entry is looped over inline and the last two are solved
-    exactly rather than searched, so the largest prefix level, one prefix per
-    output row, is never stored.
+
+    The last three entries complete each prefix's remaining degree r.  Once
+    the prefixes outnumber the possible remainders 0..target eightfold, the
+    completions of each distinct r are listed once, by this routine at three
+    entries, and each prefix is joined to them by one
+    `map(prefix.__add__, tails)` in C.  The prefixes are distinct and ascend,
+    and so do the completions of one r, so the rows stay lexicographic.
+    Below that, one listing per remainder costs more than the sharing saves,
+    and each prefix's rows are built one by one: the third-to-last entry is
+    looped over and the last two are solved exactly rather than searched.
     """
     entries = _entries(weights)
     if target < 0:
@@ -203,20 +210,28 @@ def weighted_exponents(weights, target: int):
             else:  # a spent prefix has only the all-zero completion
                 append((prefix, 0))
         level = deeper
+    tails = None
+    # below five entries the head has at most target + 1 prefixes
+    if n > 4 and len(level) > 8 * (target + 1):
+        tails = {}
+        for r in {r for _, r in level if r}:
+            tails[r] = weighted_exponents(entries[-3:], r)
     out = []
     append = out.append
     for prefix, remaining in level:
         if not remaining:
             append(prefix + (0,) * (n - len(prefix)))
-            continue
-        for d in range(remaining // third + 1):
-            r = remaining - d * third
-            if not r:
-                append(prefix + (d, 0, 0))
-            elif r % g == 0:
-                row = prefix + (d,)
-                for e in range((r // g) * inverse % step, r // w + 1, step):
-                    append(row + (e, (r - e * w) // last))
+        elif tails:
+            out += map(prefix.__add__, tails[remaining])
+        else:
+            for d in range(remaining // third + 1):
+                r = remaining - d * third
+                if not r:
+                    append(prefix + (d, 0, 0))
+                elif r % g == 0:
+                    row = prefix + (d,)
+                    for e in range((r // g) * inverse % step, r // w + 1, step):
+                        append(row + (e, (r - e * w) // last))
     return tuple(out)
 
 
@@ -279,5 +294,7 @@ class ResonanceProfile:
 def resonance_profile(weights: WeightVector) -> ResonanceProfile:
     """Compute every resonance set and the resonance order."""
     sets = tuple(resonance_set(weights, i) for i in range(1, weights.n + 1))
-    orders = tuple(max(map(sum, component)) for component in sets)
+    # equal weights share one listing, kept by weight: each is summed once
+    top = {m: max(map(sum, s)) for m, s in weights._resonance_sets.items()}
+    orders = tuple(top[m] for m in weights.m)
     return ResonanceProfile(weight=weights, sets=sets, orders=orders, order=max(orders))

@@ -77,6 +77,17 @@ def box_weighted_exponents(weights, target: int):
     }
 
 
+def count_weighted_exponents(weights, target: int) -> int:
+    """|{alpha : m . alpha == target}| by coin-change counting, listing nothing."""
+    if target < 0:
+        return 0
+    ways = [1] + [0] * target
+    for w in weights:
+        for total in range(w, target + 1):
+            ways[total] += ways[total - w]
+    return ways[target]
+
+
 def substitution_homogeneity(p: Polynomial, weights: WeightVector, k: int) -> bool:
     """Homogeneity via symbolic substitution in an extra scale variable.
 

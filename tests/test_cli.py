@@ -52,6 +52,12 @@ def assert_golden(capsys, golden_name, *argv):
 GOLDEN_CASES = [
     ("resonance_12.json", 0, ("resonance", "--weights", "1,2")),
     ("resonance_123_index3.json", 0, ("resonance", "--weights", "1,2,3", "--index", "3")),
+    # 81 rows joined from 56 prefixes to the completions of (1, 2, 5)
+    (
+        "resonance_111125_index6.json",
+        0,
+        ("resonance", "--weights", "1,1,1,1,2,5", "--index", "6"),
+    ),
     ("partition_1223.json", 0, ("partition", "--weights", "1,2,2,3")),
     ("sigma_random_124_seed7.json", 0, ("sigma", "random", "--weights", "1,2,4", "--seed", "7")),
     ("sigma_invert_124.json", 0, ("sigma", "invert", "--map", str(DATA / "sigma_124.json"))),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,8 +20,14 @@ from quasicirc import (
     weighted_degree,
     weighted_exponents,
 )
+from quasicirc import weights as weights_module
 from quasicirc.weights import has_weighted_exponents
-from oracles import all_weight_tuples, box_resonance_set, box_weighted_exponents
+from oracles import (
+    all_weight_tuples,
+    box_resonance_set,
+    box_weighted_exponents,
+    count_weighted_exponents,
+)
 
 
 def weight_vectors(max_n=4, max_entry=8):
@@ -228,6 +235,61 @@ def test_matches_box_oracle_on_small_vectors():
             exponents = weighted_exponents(w, target)
             assert list(exponents) == sorted(expected)
             assert has_weighted_exponents(w, target) == bool(expected)
+
+
+# vectors whose prefixes share their remainders many times over, so that the
+# completions of the last three entries are listed once per remainder
+SHARED_TAIL_CASES = (
+    ((1, 1, 1, 1, 1, 20), range(0, 22)),
+    ((1, 1, 1, 2, 3, 5), range(0, 14)),
+    ((1, 2, 2, 3, 3, 4, 7), range(0, 16)),
+    ((1, 1, 1, 1, 2, 5), range(0, 11)),
+    ((1, 1, 1, 1, 1, 1, 1, 9), range(0, 13)),
+)
+
+
+@pytest.mark.parametrize("m,targets", SHARED_TAIL_CASES, ids=[str(m) for m, _ in SHARED_TAIL_CASES])
+def test_shared_tails_match_oracles(m, targets):
+    w = WeightVector(m)
+    for target in targets:
+        exponents = weighted_exponents(w, target)
+        # strictly ascending: lexicographic and distinct
+        assert all(a < b for a, b in zip(exponents, exponents[1:]))
+        assert all(len(alpha) == len(m) and min(alpha) >= 0 for alpha in exponents)
+        assert all(weighted_degree(m, alpha) == target for alpha in exponents)
+        assert len(exponents) == count_weighted_exponents(m, target)
+        if math.prod(target // e + 1 for e in m) <= 50_000:
+            assert set(exponents) == box_weighted_exponents(m, target)
+        assert has_weighted_exponents(w, target) == bool(exponents)
+
+
+def test_shared_tails_are_listed_once_per_remainder(monkeypatch):
+    listed = Counter()
+    listing = weights_module.weighted_exponents
+
+    def counting(weights, target):
+        listed[tuple(weights), target] += 1
+        return listing(weights, target)
+
+    monkeypatch.setattr(weights_module, "weighted_exponents", counting)
+    exponents = listing((1, 1, 1, 1, 1, 20), 20)
+    assert len(exponents) == 10627
+    # 1771 prefixes of (1, 1, 1), one tail listing per nonzero remainder
+    assert listed == Counter({((1, 1, 20), r): 1 for r in range(1, 21)})
+    listed.clear()
+    # ten prefixes of (1, 1, 1) at degree 2 are too few to share
+    assert len(listing((1, 1, 1, 1, 1, 20), 2)) == 15
+    assert not listed
+
+
+def test_profile_orders_match_each_index():
+    for m in ((1, 1, 1, 2, 2, 5), (1, 2, 2, 3, 3, 4, 7), (1, 1, 1, 1, 1, 20), (1,) * 8):
+        profile = resonance_profile(WeightVector(m))
+        fresh = WeightVector(m)
+        assert profile.orders == tuple(
+            max(map(sum, resonance_set(fresh, i))) for i in range(1, len(m) + 1)
+        )
+        assert profile.order == max(profile.orders)
 
 
 def test_unreachable_degrees_have_no_exponents():
