@@ -18,6 +18,7 @@ from .weights import (
     WeightVector,
     block_partition,
     has_weighted_exponents,
+    weighted_degree,
     weighted_exponents,
 )
 
@@ -106,15 +107,14 @@ def check_sigma_jacobian_structure(sigma: TriangularResonantMap) -> JacobianStru
     """Check that Jac(sigma) = I + N with N strictly block-lower admissible.
 
     Diagonal entries must be identically 1; an entry (i, j) with block(i) <=
-    block(j) must vanish; and every exponent of a block-lower entry must be
-    admissible for (i, j).  A validated map always passes -- a failure
-    indicates an internal inconsistency, so callers should treat False as
-    fatal.
+    block(j), which for sorted weights is m_i <= m_j, must vanish; and every
+    exponent alpha of a block-lower entry must be admissible for (i, j),
+    which is the weighted degree m . alpha = m_i - m_j, so nothing is
+    listed.  A validated map always passes -- a failure indicates an
+    internal inconsistency, so callers should treat False as fatal.
     """
     weights = sigma.weight
-    n = weights.n
-    partition = block_partition(weights)
-    pattern = admissibility_pattern(weights).entries
+    n, m = weights.n, weights.m
     sigma_map = sigma.as_poly_map()
     jacobian = tuple(
         tuple(sigma_map.components[i - 1].derivative(j) for j in range(1, n + 1))
@@ -129,15 +129,15 @@ def check_sigma_jacobian_structure(sigma: TriangularResonantMap) -> JacobianStru
                 if entry != one:
                     violations.append(f"diagonal entry ({i}, {i}) is not 1")
                 continue
-            if partition.block_of(i) <= partition.block_of(j):
+            target = m[i - 1] - m[j - 1]
+            if target <= 0:
                 if not entry.is_zero():
                     violations.append(
                         f"entry ({i}, {j}) must vanish on or above the block diagonal"
                     )
                 continue
-            allowed = set(pattern[i - 1][j - 1])
             for alpha in entry.exponents():
-                if alpha not in allowed:
+                if weighted_degree(m, alpha) != target:
                     violations.append(
                         f"entry ({i}, {j}) carries inadmissible exponent {alpha}"
                     )

@@ -7,7 +7,8 @@ Identical invocations produce byte-identical stdout, and stdout is
 payload take one write path, `_pieces` and then `writelines`.  It writes in
 pieces, so the text of a large listing is never joined into one string, but
 only after the whole payload has been formatted: a command that fails
-writes nothing but its error payload.
+writes nothing but its error payload.  The writer knows a listing by its
+type, `weights.Listing`, which only `weighted_exponents` makes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain
 
 from . import bergman as bergman_mod
 from .conjugation import (
@@ -30,7 +30,7 @@ from .errors import BudgetExceeded, ParseError, QuasicircError, WeightMismatch
 from .linalg import LinearMap, as_fraction
 from .poly import format_poly_map, parse_poly_map
 from .resonant import DEFAULT_POOL, TriangularResonantMap, invert_sigma, random_sigma
-from .weights import WeightVector, block_partition, resonance_profile, resonance_set
+from .weights import Listing, WeightVector, block_partition, resonance_profile, resonance_set
 
 
 def _weights_arg(text: str):
@@ -85,7 +85,7 @@ def _load_linear(path: str) -> LinearMap:
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ParseError(f"{path}: expected a row-major array of rows")
     try:
-        return LinearMap.from_string_rows(data)
+        return LinearMap(data)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -191,12 +191,12 @@ def cmd_bergman(args) -> dict:
 def _pieces(obj) -> list:
     """The text of `json.dumps(obj, indent=2)` as a list of strings.
 
-    The stdlib's C encoder is used only without an indent.  Here a list of
-    equal-length int rows (the exponent lists that make up large outputs) is
+    The stdlib's C encoder is used only without an indent.  Here a `Listing`
+    (the exponent lists that make up large outputs), known by its type, is
     formatted with one row template, once per object and indent, and each
     table entry that shares it gets the same string, so a shared listing is
-    held as text once; everything else recurses, and scalars and keys are
-    encoded by `json.dumps` itself.
+    held as text once; everything else, an equal list of int rows too,
+    recurses, and scalars and keys are encoded by `json.dumps` itself.
     """
     out = []
     try:
@@ -230,13 +230,11 @@ def _write(obj, newline: str, out: list, listings: dict) -> None:
             out.append("[]")
         elif key in listings:
             out.append(listings[key])
-        elif (set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1
-              and set(map(type, chain.from_iterable(obj))) <= {int}):
-            # exact types: a bool is an int to %d, which would print it as 1 or 0
+        elif type(obj) is Listing:  # int tuples of one length, by construction
             cell = inner + "  "
             k = len(obj[0])
             row = "[" + cell + ("," + cell).join(["%d"] * k) + inner + "]" if k else "[]"
-            rows = ("," + inner).join([row % tuple(r) for r in obj])
+            rows = ("," + inner).join([row % r for r in obj])
             listings[key] = f"[{inner}{rows}{newline}]"
             out.append(listings[key])
         else:

@@ -411,19 +411,18 @@ def _line_rows(f: PolyMap, j_matrix: LinearMap, unknowns: list, top: int) -> Ite
     On the line t p, row (i, d), 2 <= d <= top, holds the coefficient of t^d
     in [comp_k == i] f(tp)^alpha_k - J[i][comp_k] (tp)^alpha_k for each
     unknown (comp_k, alpha_k), with right-hand side -[t^d] f_i(tp), as
-    (J tp)_i is linear in t.  The lines are the same for every solve: through
-    a seeded stream of integer points in [-1000, 1000].  `_series_at` reads
-    f's terms of degree at most top once per solve, and gives f(tp) as
-    integer series over den, the lcm of f's denominators.  Each f_j(tp) is
-    t u_j(t), so f(tp)^alpha is t^|alpha| u^alpha / den^|alpha|, with u^alpha
-    needed only up to t^(top - |alpha|).  Row (i, d) here is the row above
-    times d_i den^top, for the lcm d_i of the denominators in row i of J: a
-    positive multiple, which `solve_exact` scales to the same primitive row.
+    (J tp)_i is linear in t.  The points p are those of `_line_points`.
+    `_series_at` reads f's terms of degree at most top once per solve, and
+    gives f(tp) as integer series over den, the lcm of f's denominators.
+    Each f_j(tp) is t u_j(t), so f(tp)^alpha is t^|alpha| u^alpha /
+    den^|alpha|, with u^alpha needed only up to t^(top - |alpha|).  Row
+    (i, d) here is the row above times d_i den^top, for the lcm d_i of the
+    denominators in row i of J: a positive multiple, which `solve_exact`
+    scales to the same primitive row.
     """
     n, degrees = f.n, [sum(alpha) for _, alpha in unknowns]
     j_rows = [_integral(row) for row in j_matrix.rows]
-    rng = random.Random(12345)
-    points, stream = tee(iter(lambda: [rng.randint(-1000, 1000) for _ in range(n)], None))
+    points, stream = tee(_line_points(n))
     for point, (series, den) in zip(points, _series_at(f.components, top, stream)):
         images = []
         for (_, alpha), size in zip(unknowns, degrees):
@@ -441,6 +440,13 @@ def _line_rows(f: PolyMap, j_matrix: LinearMap, unknowns: list, top: int) -> Ite
         ]
         yield rows, [-j_den * den ** (top - 1) * s[d] for (_, j_den), s in zip(j_rows, series)
                      for d in range(2, top + 1)]
+
+
+def _line_points(n: int) -> Iterator[list]:
+    """The lines' points, the same for every solve: a seeded stream in [-1000, 1000]^n."""
+    rng = random.Random(12345)
+    while True:
+        yield [rng.randint(-1000, 1000) for _ in range(n)]
 
 
 def _line_count(j_matrix: LinearMap, unknowns: list, top: int) -> int:

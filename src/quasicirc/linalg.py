@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, SingularLinearMap
 
@@ -84,10 +84,6 @@ class LinearMap:
     def identity(cls, n: int) -> "LinearMap":
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """Entry in row i, column j (1-based)."""
-        return self.rows[i - 1][j - 1]
-
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         if self.n != other.n:
             raise ValueError("matrix sizes differ")
@@ -133,10 +129,6 @@ class LinearMap:
     def to_string_rows(self) -> list:
         """Rows as 'p/q' strings, the wire format used by the CLI."""
         return [[exact_text(x) for x in row] for row in self.rows]
-
-    @classmethod
-    def from_string_rows(cls, rows: Iterable[Iterable]) -> "LinearMap":
-        return cls(rows)
 
 
 def solve_exact(

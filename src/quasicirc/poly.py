@@ -178,15 +178,8 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.n, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        # substitute's powers: one key product for one term, else stepped up
+        return Polynomial.monomial(1, (exponent,)).substitute([self])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):

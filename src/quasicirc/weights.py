@@ -8,6 +8,9 @@ largest total degree |alpha| occurring in any resonance set.
 
 Multi-indices are plain tuples of nonnegative ints; all counts are exact
 (Python integers), so weights up to 10**6 and beyond are fine.
+`weighted_exponents` returns its rows as a `Listing`, a tuple whose type
+says that they are int tuples of one length, so the JSON writer prints them
+by one row template without looking at a cell.
 """
 
 from __future__ import annotations
@@ -20,6 +23,12 @@ from typing import Sequence, Tuple
 from .errors import IndexOutOfRange, NonPositiveWeight, NotCoprime, Unsorted
 
 MultiIndex = Tuple[int, ...]
+
+
+class Listing(tuple):
+    """Rows of `weighted_exponents`: int tuples, all of one length."""
+
+    __slots__ = ()
 
 
 def weighted_degree(weights: Sequence[int], alpha: Sequence[int]) -> int:
@@ -190,14 +199,14 @@ def weighted_exponents(weights, target: int):
     n = len(entries)
     if n == 1:
         quotient, rest = divmod(target, entries[0])
-        return () if rest else ((quotient,),)
+        return () if rest else Listing(((quotient,),))
     *head, w, last = entries
     g, step, inverse = _last_pair(w, last)
     if not head:
         if target % g:
             return ()
-        return tuple((e, (target - e * w) // last)
-                     for e in range((target // g) * inverse % step, target // w + 1, step))
+        return Listing((e, (target - e * w) // last)
+                       for e in range((target // g) * inverse % step, target // w + 1, step))
     *head, third = head
     level = [((), target)]
     for weight in head:
@@ -232,7 +241,7 @@ def weighted_exponents(weights, target: int):
                     row = prefix + (d,)
                     for e in range((r // g) * inverse % step, r // w + 1, step):
                         append(row + (e, (r - e * w) // last))
-    return tuple(out)
+    return Listing(out)
 
 
 def has_weighted_exponents(weights, target: int) -> bool:

@@ -27,6 +27,7 @@ from quasicirc import (
     nonlinear_resonant_monomials,
     solve_exact,
 )
+from quasicirc.conjugation import _line_points
 from quasicirc.weights import MultiIndex
 
 # the fixed weight-vector set used by map-level property and acceptance tests
@@ -212,19 +213,17 @@ def coefficient_solve(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
 def reference_line_rows(f: PolyMap, j_matrix, unknowns: list, top: int) -> Iterator[tuple]:
     """The rows of sigma . f = J . sigma along lines t p, in Fractions, n (top - 1) a line.
 
-    The lines pass through the library's seeded points.  Each component's
-    series along t p sums every decoded term: c z^beta adds c p^beta to
-    t^|beta|, over the lcm of the component's denominators, and the series
-    is kept up to t^top.  f(tp)^alpha is multiplied out one factor at a time
-    by the schoolbook product of series, cut at t^top, and row (i, d), for
-    2 <= d <= top, is the coefficient of t^d in
-    [comp == i] f(tp)^alpha - J[i][comp] (tp)^alpha, with right-hand side
-    -[t^d] f_i(tp).
+    The lines pass through the library's seeded points, `_line_points`, the
+    one home of that stream.  Each component's series along t p sums every
+    decoded term: c z^beta adds c p^beta to t^|beta|, over the lcm of the
+    component's denominators, and the series is kept up to t^top.
+    f(tp)^alpha is multiplied out one factor at a time by the schoolbook
+    product of series, cut at t^top, and row (i, d), for 2 <= d <= top, is
+    the coefficient of t^d in [comp == i] f(tp)^alpha - J[i][comp] (tp)^alpha,
+    with right-hand side -[t^d] f_i(tp).
     """
     n = f.n
-    rng = random.Random(12345)
-    while True:
-        point = [rng.randint(-1000, 1000) for _ in range(n)]
+    for point in _line_points(n):
         series = []
         for p in f.components:
             den = lcm(*(c.denominator for c in p.terms.values()))

@@ -14,6 +14,7 @@ from quasicirc import (
     tensor_block_pattern,
     unit_index,
 )
+from quasicirc import bergman
 from oracles import WEIGHT_SET, box_weighted_exponents
 
 
@@ -133,3 +134,41 @@ def test_jacobian_diagonal_constant_one():
         one = Polynomial.constant(w.n, 1)
         for i in range(w.n):
             assert report.jacobian[i][i] == one
+
+
+def test_jacobian_structure_reports_each_violation():
+    # g_1 = z2^2 puts 2 z2 at (1, 2), above the block diagonal; g_2 = z1^3
+    # puts 3 z1^2 at (2, 1), of weighted degree 2 where m_2 - m_1 = 1
+    z1, z2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    sigma = identity_sigma(WeightVector((1, 2)))
+    object.__setattr__(sigma, "g", (z2**2, z1**3))
+    report = check_sigma_jacobian_structure(sigma)
+    assert not report.ok
+    assert report.violations == (
+        "entry (1, 2) must vanish on or above the block diagonal",
+        "entry (2, 1) carries inadmissible exponent (2, 0)",
+    )
+    # below the required degree counts too: 2 z1 where m_2 - m_1 = 2
+    sigma = identity_sigma(WeightVector((1, 3)))
+    object.__setattr__(sigma, "g", (z2 - z2, z1**2))
+    assert check_sigma_jacobian_structure(sigma).violations == (
+        "entry (2, 1) carries inadmissible exponent (1, 0)",
+    )
+    # within one block, m_i - m_j = 0: even a constant entry must vanish
+    sigma = identity_sigma(WeightVector((1, 1)))
+    object.__setattr__(sigma, "g", (z2 - z2, 3 * z1))
+    assert check_sigma_jacobian_structure(sigma).violations == (
+        "entry (2, 1) must vanish on or above the block diagonal",
+    )
+
+
+def test_jacobian_structure_lists_no_exponents(monkeypatch):
+    # admissibility is the weighted degree m_i - m_j, not a listed table
+    def listing(*args):
+        raise AssertionError("the structure check listed exponents")
+
+    for name in ("admissibility_pattern", "block_partition", "weighted_exponents"):
+        monkeypatch.setattr(bergman, name, listing)
+    for m in (*WEIGHT_SET, (1, 1, 1, 1, 1, 20)):
+        report = check_sigma_jacobian_structure(random_sigma(WeightVector(m), 0))
+        assert report.ok, report.violations

@@ -29,6 +29,7 @@ from quasicirc import (
     random_block_diagonal_map,
     random_sigma,
 )
+from quasicirc.weights import Listing
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -426,6 +427,37 @@ def shared_listings(rows):
 @given(int_rows() | JSON_VALUES | int_rows().map(shared_listings))
 def test_dumps_matches_json_dumps(value):
     assert "".join(cli._pieces(value)) == json.dumps(value, indent=2)
+
+
+# what weighted_exponents makes: int tuples, all of one length
+listings = st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.tuples(*[st.integers() | st.integers(-2**80, 2**80)] * k),
+                       min_size=1, max_size=5)
+).map(Listing)
+
+
+@given(listings)
+def test_listing_prints_as_its_plain_tuple(rows):
+    plain = tuple(rows)
+    assert type(plain) is tuple
+    assert "".join(cli._pieces(rows)) == "".join(cli._pieces(plain))
+    for value in (rows, shared_listings(rows), {"a": [rows, plain]}):
+        assert "".join(cli._pieces(value)) == json.dumps(value, indent=2)
+
+
+def test_bool_rows_print_as_json_booleans():
+    # the bergman command's block pattern: no Listing, so each cell is encoded
+    rows = ((False, True), (True, False))
+    text = "".join(cli._pieces({"may_be_nonzero": rows}))
+    assert text == json.dumps({"may_be_nonzero": rows}, indent=2)
+    assert "true" in text and "false" in text and "1" not in text
+
+
+def test_listings_reach_the_writer_as_listings():
+    payload = cli.cmd_resonance(argparse.Namespace(weights=(1, 2, 2, 3), index=None))
+    assert all(type(s) is Listing for s in payload["sets"].values())
+    payload = cli.cmd_bergman(argparse.Namespace(weights=(1, 2, 3)))
+    assert all(type(a) is Listing for row in payload["admissible"] for a in row if a)
 
 
 class WriteLengths(io.TextIOBase):

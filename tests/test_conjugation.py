@@ -358,7 +358,7 @@ def test_find_violation_takes_the_determinant_once(monkeypatch):
 
     monkeypatch.setattr(LinearMap, "determinant", counted)
     rows = json.loads((Path(__file__).parent / "data" / "linear_offblock.json").read_text())
-    assert find_violation(W12, LinearMap.from_string_rows(rows), trials=8, seed=3) is not None
+    assert find_violation(W12, LinearMap(rows), trials=8, seed=3) is not None
     assert len(calls) == 1
 
 

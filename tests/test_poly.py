@@ -95,6 +95,29 @@ def test_multiplication():
     )
 
 
+@settings(max_examples=60)
+@given(st.integers(1, 3).flatmap(polynomials))
+def test_power_is_repeated_multiplication(p):
+    # powers are built by substitute's routine, which steps by one factor
+    expected = Polynomial.constant(p.n, 1)
+    for e in range(7):
+        assert p**e == expected
+        expected = expected * p
+
+
+def test_power_edge_cases():
+    z1 = var(2, 1)
+    zero = Polynomial.zero(2)
+    assert zero**0 == 1 and zero**3 == zero and (zero**3).is_zero()
+    # a one-term power is one key product, whatever the exponent
+    big = z1 ** (2**20)
+    assert big.terms == {(2**20, 0): Fraction(1)}
+    assert (Fraction(-1, 2) * z1) ** 3 == Polynomial(2, {(3, 0): Fraction(-1, 8)})
+    for exponent in (-1, 2.5):
+        with pytest.raises(ValueError):
+            z1**exponent
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         var(2, 1) + var(3, 1)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,8 +21,9 @@ from quasicirc import (
     weighted_degree,
     weighted_exponents,
 )
+import quasicirc
 from quasicirc import weights as weights_module
-from quasicirc.weights import has_weighted_exponents
+from quasicirc.weights import Listing, has_weighted_exponents
 from oracles import (
     all_weight_tuples,
     box_resonance_set,
@@ -173,6 +175,30 @@ def test_resonance_set_index_checked():
 def test_weighted_exponents_edge_targets():
     assert weighted_exponents((1, 2), -1) == ()
     assert weighted_exponents((1, 2), 0) == ((0, 0),)
+
+
+def compositions(total, parts):
+    """Every tuple of `parts` naturals summing to total, by stars and bars."""
+    for cuts in combinations(range(total + parts - 1), parts - 1):
+        bounds = (-1, *cuts, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
+
+
+def test_every_row_listing_is_a_listing():
+    # n = 1, n = 2, the per-row loop, and the shared tails of (1, 1, 20)
+    cases = [(m, target, sorted(box_weighted_exponents(m, target)))
+             for m, target in (((3,), 6), ((1, 2), 4), ((1, 2, 3), 6))]
+    cases.append(((1, 1, 1, 1, 1, 20), 20,
+                  sorted([*(c + (0,) for c in compositions(20, 5)), (0,) * 5 + (1,)])))
+    for m, target, expected in cases:
+        exponents = weighted_exponents(m, target)
+        assert type(exponents) is Listing and exponents == tuple(expected)
+        # what the writer relies on: int tuples, all of one length
+        assert {type(alpha) for alpha in exponents} == {tuple}
+        assert {type(a) for alpha in exponents for a in alpha} == {int}
+        assert {len(alpha) for alpha in exponents} == {len(m)}
+    assert not hasattr(weighted_exponents((1, 2), 4), "__dict__")
+    assert not hasattr(quasicirc, "Listing")
 
 
 def test_resonance_sets_are_lexicographic():
