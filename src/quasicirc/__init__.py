@@ -72,6 +72,8 @@ from .weights import (
     WeightVector,
     block_partition,
     canonicalize_weights,
+    component_order,
+    resonance_order,
     resonance_profile,
     resonance_set,
     unit_index,

@@ -68,9 +68,6 @@ class BlockPattern:
     partition: BlockPartition
     may_be_nonzero: tuple
 
-    def allowed(self, p: int, q: int) -> bool:
-        return self.may_be_nonzero[p - 1][q - 1]
-
 
 def tensor_block_pattern(weights: WeightVector) -> BlockPattern:
     """Derive the block pattern from admissibility, not from position.

@@ -30,7 +30,8 @@ from .errors import BudgetExceeded, ParseError, QuasicircError, WeightMismatch
 from .linalg import LinearMap, as_fraction
 from .poly import format_poly_map, parse_poly_map
 from .resonant import DEFAULT_POOL, TriangularResonantMap, invert_sigma, random_sigma
-from .weights import Listing, WeightVector, block_partition, resonance_profile, resonance_set
+from .weights import Listing, WeightVector, block_partition, component_order
+from .weights import resonance_profile, resonance_set
 
 
 def _weights_arg(text: str):
@@ -98,7 +99,7 @@ def cmd_resonance(args) -> dict:
             "weights": list(weights.m),
             "index": args.index,
             "set": exponents,
-            "order": max(map(sum, exponents)),
+            "order": component_order(weights, args.index),
         }
     profile = resonance_profile(weights)
     return {

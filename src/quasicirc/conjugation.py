@@ -62,7 +62,7 @@ from .resonant import (
     pool_choices,
     random_sigma,
 )
-from .weights import BlockPartition, WeightVector, block_partition, resonance_profile
+from .weights import BlockPartition, WeightVector, block_partition, resonance_order
 
 
 def _subseed(seed: int, index: int) -> int:
@@ -160,7 +160,7 @@ def check_theorem_instance(
     _check_conjugable(weights.n, linear)
     block_diagonal = is_block_diagonal(linear, block_partition(weights))
     result = _conjugate(sigma, linear, block_diagonal)
-    mu = resonance_profile(weights).order
+    mu = resonance_order(weights)
     degree = result.total_degree()
     flags = tuple(
         result.components[i - 1].is_i_resonant(weights, i)
@@ -210,7 +210,7 @@ def find_violation(
         raise BlockDiagonalInput(
             "block-diagonal maps never exceed the resonance order"
         )
-    mu = resonance_profile(weights).order
+    mu = resonance_order(weights)
     for trial in range(trials):
         candidate = random_sigma(weights, _subseed(seed, trial), pool)
         if _conjugate(candidate, linear, block_diagonal=False).total_degree() > mu:
@@ -241,7 +241,7 @@ def quasi_resonance_estimate(
     """Estimate the maximal conjugate degree by seeded random sampling."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    mu = resonance_profile(weights).order
+    mu = resonance_order(weights)
     partition = block_partition(weights)
     observed = 0
     for trial in range(trials):
@@ -325,9 +325,9 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
     i m_i-homogeneous (i-resonant; see `find_violation`), so a map with a
     component that is not is rejected.  For a mixing J, sigma and its
     inverse are triangular resonant, of total degree at most the resonance
-    order mu (the largest degree of an unknown monomial, or 1), so every
-    conjugate has degree at most mu^2, and a map of higher degree is
-    rejected.  Either check is necessary, so every solvable map passes it.
+    order mu (`weights.resonance_order`), so every conjugate has degree at
+    most mu^2, and a map of higher degree is rejected.  Either check is
+    necessary, so every solvable map passes it.
 
     Otherwise the system is taken on lines t p through the origin, as the
     coefficients of t^2, ..., t^mu: enough lines for each component's
@@ -369,8 +369,7 @@ def solve_conjugacy(f: PolyMap, weights: WeightVector) -> ConjugacySolution:
         for i in range(1, n + 1)
         for alpha in nonlinear_resonant_monomials(weights, i)
     ]
-    # every resonance set E_i holds e_i, so this is the resonance order
-    mu = max((sum(alpha) for _, alpha in unknowns), default=1)
+    mu = resonance_order(weights)
     block_diagonal = is_block_diagonal(j_matrix, block_partition(weights))
     if block_diagonal:
         admissible = all(part.is_i_resonant(weights, i) for i, part in enumerate(f.components, 1))

@@ -18,7 +18,9 @@ Products (`*` and inside `substitute`) run on `intpoly.sum_of_products`,
 and a triangular shift of a map (`PolyMap._shift`) on `intpoly.shift`; both
 take and return this form.  Sums, negation, derivatives and the
 degree work on the packed keys, and repack them only when widths differ or
-a top degree cancelled; a one-term power raises its key as key * e.  The
+a top degree cancelled.  `substitute` and `**` share one power routine: a
+one-term power raises its key as key * e, any other is stepped up by one
+running product, and only the powers that the terms read are cached.  The
 readers that need exponent tuples (`exponents()`, `terms`, `coefficient()`,
 the weighted-degree readers and `substitute`'s outer loop) share one decode
 per polynomial, made on first use and kept.  `terms` is a read-only
@@ -176,7 +178,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         # substitute's powers: one key product for one term, else stepped up
         return Polynomial.monomial(1, (exponent,)).substitute([self])
@@ -213,22 +215,6 @@ class Polynomial:
         weights.check_index(i)
         return self.is_m_homogeneous(weights, weights.m[i - 1])
 
-    def m_order_decomposition(self, weights: WeightVector) -> Dict[int, "Polynomial"]:
-        """Split into m-homogeneous parts, keyed by weighted degree.
-
-        The parts sum back to the polynomial exactly; the zero polynomial
-        decomposes into the empty map.
-        """
-        if weights.n != self.n:
-            raise DimensionMismatch(f"dimensions differ: {self.n} vs {weights.n}")
-        buckets: Dict[int, Dict[int, int]] = {}
-        for alpha, (key, c) in zip(self._decoded(), self._num.items()):
-            buckets.setdefault(weighted_degree(weights.m, alpha), {})[key] = c
-        return {
-            k: Polynomial._from_ints(self.n, *reduced(self.n, part, self._den, self._width))
-            for k, part in sorted(buckets.items())
-        }
-
     def derivative(self, j: int) -> "Polynomial":
         """Partial derivative with respect to z_j (1-based)."""
         if not 1 <= j <= self.n:
@@ -258,9 +244,13 @@ class Polynomial:
 
         `values[j-1]` replaces z_j; all substituted polynomials must share a
         dimension, which becomes the dimension of the result.  An optional
-        power cache is shared across the components of a map composition.
-        Powers are built in a loop, so any exponent works without recursion,
-        and the terms' products are summed in one integer accumulation.
+        power cache, keyed (j - 1, e), is shared across the components of a
+        map composition.  It keeps only the powers z_j^e that some term
+        reads: for each variable the exponents that occur are taken in
+        ascending order, each stepped up by one running product from the
+        highest power already cached, and the steps in between are dropped.
+        A one-term value's power is one term and takes no steps.  The terms'
+        products are summed in one integer accumulation.
         """
         if len(values) != self.n:
             raise DimensionMismatch(
@@ -270,11 +260,11 @@ class Polynomial:
         if any(v.n != target for v in values):
             raise DimensionMismatch("substituted polynomials have mixed dimensions")
         cache = _cache if _cache is not None else {}
-
-        def power(j: int, e: int) -> Polynomial:
-            key = (j, e)
-            if key in cache:
-                return cache[key]
+        decoded = self._decoded()
+        # ascending, so each power steps up from the last one cached
+        for j, e in sorted({(j, e) for alpha in decoded for j, e in enumerate(alpha) if e}):
+            if (j, e) in cache:
+                continue
             value = values[j]
             if len(value._num) < 2:
                 # zero, or one term whose power is one term: no steps at all,
@@ -285,23 +275,17 @@ class Polynomial:
                     target, {key * e: c**e for key, c in num.items()}, value._den**e, w
                 )
             else:
-                # stepped up from the highest cached power, caching every
-                # step: substitutions use most powers up to the largest
-                # exponent, and a step multiplies by the first power instead
-                # of squaring big ones
+                # one factor a step, which is cheaper than squaring big powers
                 top = e
                 while top > 1 and (j, top) not in cache:
                     top -= 1
-                result = cache[(j, top)] if top > 1 else value
-                for k in range(top + 1, e + 1):
+                result = cache[j, top] if top > 1 else value
+                for _ in range(top, e):
                     result = result * value
-                    cache[(j, k)] = result
-            cache[key] = result
-            return result
+            cache[j, e] = result
 
         products = [
-            (c, [power(j, e) for j, e in enumerate(alpha) if e])
-            for alpha, c in self._decoded().items()
+            (c, [cache[j, e] for j, e in enumerate(alpha) if e]) for alpha, c in decoded.items()
         ]
         return Polynomial._from_ints(target, *sum_of_products(target, products, self._den))
 
@@ -341,12 +325,6 @@ class PolyMap:
         # reduced gives an all-zero row the zero polynomial's width
         return cls([Polynomial._from_ints(n, *reduced(n, num, den, w)) for num, den in rows])
 
-    def component(self, i: int) -> Polynomial:
-        """Component i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"component index {i} outside 1..{self.n}")
-        return self.components[i - 1]
-
     def compose(self, inner: "PolyMap") -> "PolyMap":
         """The composition self(inner(z)), exact."""
         if self.n != inner.n:
@@ -363,9 +341,6 @@ class PolyMap:
 
     def total_degree(self) -> int:
         return max(p.total_degree() for p in self.components)
-
-    def fixes_origin(self) -> bool:
-        return all(not p.constant_term() for p in self.components)
 
     def linear_part(self) -> LinearMap:
         """The matrix of degree-1 coefficients; requires a fixed origin."""

@@ -122,12 +122,6 @@ class TriangularResonantMap:
     def is_identity(self) -> bool:
         return all(part.is_zero() for part in self.g)
 
-    def inverse(self) -> "TriangularResonantMap":
-        return invert_sigma(self)
-
-    def compose(self, other: "TriangularResonantMap") -> "TriangularResonantMap":
-        return compose_sigma(self, other)
-
     def coefficients(self) -> Dict:
         """All stored coefficients as a {(i, alpha): Fraction} map."""
         out = {}

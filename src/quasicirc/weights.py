@@ -3,8 +3,11 @@
 A weight vector is a tuple of positive integers m = (m_1, ..., m_n) with
 m_1 <= ... <= m_n and gcd one.  It grades monomials by the weighted degree
 m . alpha = sum(m_j * alpha_j); the i-th resonance set collects every
-exponent vector alpha with m . alpha = m_i, and the resonance order is the
-largest total degree |alpha| occurring in any resonance set.
+exponent vector alpha with m . alpha = m_i.  Its largest total degree
+|alpha| is mu_i, and the resonance order mu is the largest mu_i.  mu_i is
+summed once, as its set is listed, and read through `component_order`; mu is
+computed only by `resonance_order`.  Every reader in the package (the
+profile, the CLI, the conjugation checks and the solve) calls these two.
 
 Multi-indices are plain tuples of nonnegative ints; all counts are exact
 (Python integers), so weights up to 10**6 and beyond are fine.
@@ -52,10 +55,10 @@ class WeightVector:
     factor would change the grading.  Use `canonicalize_weights` when the
     caller wants that done explicitly.
 
-    Each instance keeps the resonance sets it has been asked for, keyed by
-    the weight m_i they depend on, in `_resonance_sets`, and its block
-    partition, once built, in `_partition`: attributes, not fields, so
-    equality, hashing and repr see only m.
+    Each instance keeps the resonance sets it has been asked for, each with
+    its order mu_i, keyed by the weight m_i they depend on, in
+    `_resonance_sets`, and its block partition, once built, in `_partition`:
+    attributes, not fields, so equality, hashing and repr see only m.
     """
 
     m: tuple
@@ -79,11 +82,6 @@ class WeightVector:
     @property
     def n(self) -> int:
         return len(self.m)
-
-    def weight(self, i: int) -> int:
-        """The weight m_i (1-based)."""
-        self.check_index(i)
-        return self.m[i - 1]
 
     def check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -265,6 +263,19 @@ def has_weighted_exponents(weights, target: int) -> bool:
     return any(r % g == 0 and (r // g) * inverse % step <= r // w for r in remainders)
 
 
+def _resonance_entry(weights: WeightVector, target: int) -> tuple:
+    """(the exponents of weighted degree target, their largest |alpha|), made once.
+
+    The one place mu_i is computed: as the set is listed, so each listing is
+    summed once, and equal weights share both.
+    """
+    sets = weights._resonance_sets
+    if target not in sets:
+        listing = weighted_exponents(weights, target)
+        sets[target] = listing, max(map(sum, listing))
+    return sets[target]
+
+
 def resonance_set(weights: WeightVector, i: int):
     """The i-th resonance set {alpha : m . alpha = m_i}, lexicographic.
 
@@ -272,11 +283,18 @@ def resonance_set(weights: WeightVector, i: int):
     instance's cache: equal weights share one tuple.
     """
     weights.check_index(i)
-    target = weights.m[i - 1]
-    sets = weights._resonance_sets
-    if target not in sets:
-        sets[target] = weighted_exponents(weights, target)
-    return sets[target]
+    return _resonance_entry(weights, weights.m[i - 1])[0]
+
+
+def component_order(weights: WeightVector, i: int) -> int:
+    """mu_i, the largest |alpha| in the i-th resonance set, kept beside the set."""
+    weights.check_index(i)
+    return _resonance_entry(weights, weights.m[i - 1])[1]
+
+
+def resonance_order(weights: WeightVector) -> int:
+    """The resonance order mu = max_i mu_i, which bounds the conjugates' degree."""
+    return max(component_order(weights, i) for i in range(1, weights.n + 1))
 
 
 @dataclass(frozen=True)
@@ -292,18 +310,13 @@ class ResonanceProfile:
     orders: tuple
     order: int
 
-    def exponents(self):
-        """The union of all resonance sets, lexicographically sorted."""
-        merged = set()
-        for s in self.sets:
-            merged.update(s)
-        return tuple(sorted(merged))
-
 
 def resonance_profile(weights: WeightVector) -> ResonanceProfile:
-    """Compute every resonance set and the resonance order."""
-    sets = tuple(resonance_set(weights, i) for i in range(1, weights.n + 1))
-    # equal weights share one listing, kept by weight: each is summed once
-    top = {m: max(map(sum, s)) for m, s in weights._resonance_sets.items()}
-    orders = tuple(top[m] for m in weights.m)
-    return ResonanceProfile(weight=weights, sets=sets, orders=orders, order=max(orders))
+    """Every resonance set with its order mu_i, and the resonance order mu."""
+    indices = range(1, weights.n + 1)
+    return ResonanceProfile(
+        weight=weights,
+        sets=tuple(resonance_set(weights, i) for i in indices),
+        orders=tuple(component_order(weights, i) for i in indices),
+        order=resonance_order(weights),
+    )

@@ -149,7 +149,7 @@ def test_criterion_7_bergman_pattern_duality():
             blocks = pattern.partition.block_count
             for p in range(1, blocks + 1):
                 for q in range(p, blocks + 1):
-                    assert not pattern.allowed(p, q)
+                    assert not pattern.may_be_nonzero[p - 1][q - 1]
         for index, m in enumerate(WEIGHT_SET):
             w = WeightVector(m)
             for k in range(20):

@@ -93,7 +93,7 @@ def test_block_pattern_strictly_lower():
         blocks = pattern.partition.block_count
         for p in range(1, blocks + 1):
             for q in range(p, blocks + 1):
-                assert not pattern.allowed(p, q)
+                assert not pattern.may_be_nonzero[p - 1][q - 1]
 
 
 def test_jacobian_structure_quadratic():

@@ -588,6 +588,24 @@ def test_a_solve_reads_each_resonance_set_once(monkeypatch):
     assert sorted(calls) == [1, 2, 3, 4]
 
 
+def test_bound_checks_build_no_resonance_profile(monkeypatch):
+    # mu comes from `weights.resonance_order`, never from a whole profile
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ResonanceProfile was built")
+
+    monkeypatch.setattr(quasicirc.weights.ResonanceProfile, "__init__", refuse)
+    w = WeightVector((1, 2, 4))
+    sigma = random_sigma(w, 3)
+    report = check_theorem_instance(w, sigma, random_block_diagonal_map(w, 4))
+    assert report.within_bound and report.resonance_order == 4
+    mixing = LinearMap(((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+    find_violation(w, mixing, trials=2, seed=1)
+    assert quasi_resonance_estimate(w, trials=2, seed=1).cap == 16
+    assert solve_conjugacy(report.result, w).residual_zero
+    with pytest.raises(AssertionError, match="ResonanceProfile"):
+        resonance_profile(w)
+
+
 def test_rank_deficient_lines_add_lines_up_to_js_free_count(monkeypatch):
     # under diag(2, 3, 4) at weights (1, 1, 2) the monomial z1^2 is resonant
     # (4 = 2 * 2), so its coefficient is free and the other two are fixed

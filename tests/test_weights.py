@@ -15,6 +15,8 @@ from quasicirc import (
     WeightVector,
     block_partition,
     canonicalize_weights,
+    component_order,
+    resonance_order,
     resonance_profile,
     resonance_set,
     unit_index,
@@ -86,11 +88,11 @@ def test_rejects_bool_weights(m):
 
 def test_weight_accessor_is_one_based():
     w = WeightVector((1, 2, 4))
-    assert w.weight(3) == 4
+    assert w.m[3 - 1] == 4
     with pytest.raises(IndexOutOfRange):
-        w.weight(0)
+        w.check_index(0)
     with pytest.raises(IndexOutOfRange):
-        w.weight(4)
+        w.check_index(4)
 
 
 def test_canonicalize_sorts_and_divides():
@@ -220,7 +222,7 @@ def test_profile_examples():
 
 def test_profile_union():
     profile = resonance_profile(WeightVector((1, 2)))
-    assert profile.exponents() == ((0, 1), (1, 0), (2, 0))
+    assert set().union(*profile.sets) == {(0, 1), (1, 0), (2, 0)}
 
 
 @given(weight_vectors())
@@ -236,6 +238,37 @@ def test_profile_invariants(w):
     assert profile.order == max(profile.orders)
     if len(set(w.m)) == 1:
         assert profile.order == 1
+
+
+def test_resonance_order_matches_box_oracle():
+    # mu_i read off the box scan, which shares no code with the listing; each
+    # vector is fresh, so the order is asked before any set is listed
+    wide = [m for m in all_weight_tuples(5, 3) if len(m) > 3]
+    for m in all_weight_tuples(3, 5) + wide:
+        w = WeightVector(m)
+        orders = tuple(max(map(sum, box_resonance_set(m, i))) for i in range(1, w.n + 1))
+        assert tuple(component_order(w, i) for i in range(1, w.n + 1)) == orders
+        assert resonance_order(w) == max(orders)
+        profile = resonance_profile(w)
+        assert (profile.orders, profile.order) == (orders, max(orders))
+    with pytest.raises(IndexOutOfRange):
+        component_order(WeightVector((1, 2)), 3)
+
+
+def test_resonance_order_lists_each_weight_once(monkeypatch):
+    listed = []
+    listing = weights_module.weighted_exponents
+
+    def counting(weights, target):
+        listed.append(target)
+        return listing(weights, target)
+
+    monkeypatch.setattr(weights_module, "weighted_exponents", counting)
+    w = WeightVector((1, 1, 2, 3))
+    assert resonance_order(w) == 3
+    resonance_profile(w)
+    resonance_set(w, 4)
+    assert sorted(listed) == [1, 2, 3]
 
 
 def test_large_weights_are_exact():
