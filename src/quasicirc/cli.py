@@ -19,13 +19,8 @@ import json
 import sys
 
 from . import bergman as bergman_mod
-from .conjugation import (
-    check_theorem_instance,
-    conjugate,
-    find_violation,
-    quasi_resonance_estimate,
-    solve_conjugacy,
-)
+from .conjugation import _violation, check_theorem_instance, quasi_resonance_estimate
+from .conjugation import solve_conjugacy
 from .errors import BudgetExceeded, ParseError, QuasicircError, WeightMismatch
 from .linalg import LinearMap, as_fraction
 from .poly import format_poly_map, parse_poly_map
@@ -144,14 +139,11 @@ def cmd_conjugate(args) -> dict:
 def cmd_violate(args) -> dict:
     weights = WeightVector(args.weights)
     linear = _load_linear(args.linear)
-    witness = find_violation(weights, linear, args.trials, args.seed)
-    if witness is None:
+    found = _violation(weights, linear, args.trials, args.seed, DEFAULT_POOL)
+    if found is None:
         return {"found": False}
-    return {
-        "found": True,
-        "degree": conjugate(witness, linear).total_degree(),
-        "sigma": witness.to_json_dict(),
-    }
+    witness, degree = found
+    return {"found": True, "degree": degree, "sigma": witness.to_json_dict()}
 
 
 def cmd_quasi_order(args) -> dict:

@@ -5,7 +5,8 @@ sigma^{-1} . L . sigma is an origin-fixing polynomial map with linear part
 L.  When L is block-diagonal for the weight partition, the conjugate has
 total degree at most the resonance order and each component is resonant;
 when L mixes blocks, the degree can exceed the bound, and `find_violation`
-searches for an explicit witness.  The block structure also picks the
+searches for an explicit witness, reading each trial's degree along one line
+first (`_line_degree`).  The block structure also picks the
 route: a block-diagonal conjugate is built from sigma . f = L . sigma one
 component at a time, by the recursion `resonant._unwind`, while a mixing L
 takes (tau . L) . sigma with tau = sigma^{-1}, one lazy shift, because
@@ -51,7 +52,7 @@ from .errors import (
     WeightMismatch,
 )
 from .linalg import LinearMap, _integral, solve_exact
-from .poly import Polynomial, PolyMap, _series_at
+from .poly import Polynomial, PolyMap, _line_powers, _series_at
 from .resonant import (
     DEFAULT_POOL,
     TriangularResonantMap,
@@ -128,9 +129,50 @@ def _conjugate(sigma: TriangularResonantMap, linear: LinearMap, block_diagonal: 
     """
     if block_diagonal:
         return PolyMap(_unwind(sigma, PolyMap.from_linear(linear)._shift(sigma.g)))
+    return _mixing(sigma, linear, _inverse_part(sigma))
+
+
+def _mixing(sigma: TriangularResonantMap, linear: LinearMap, h: tuple) -> PolyMap:
+    """The mixing route of `_conjugate`, (tau . L) . sigma, given tau = id + h."""
     l_map = PolyMap.from_linear(linear)
-    h_l = PolyMap(_inverse_part(sigma)).compose(l_map)
+    h_l = PolyMap(h).compose(l_map)
     return PolyMap([l_i + h_i for l_i, h_i in zip(l_map, h_l)])._shift(sigma.g)
+
+
+def _line_degree(sigma: TriangularResonantMap, linear: LinearMap, h: tuple, cap: int) -> int:
+    """deg_t F(tp) for F = sigma^{-1} . L . sigma, tau = id + h, on one line t p.
+
+    The point p is the first of `_line_points`.  The coefficient of t^k in
+    F(tp) is F_k(p), the degree-k part of F at p, so deg_t F(tp) <= deg F,
+    and F has degree at most cap, mu^2.  With sigma(tp) = t s(t) and
+    u = L sigma(tp) = t v(t) / D over a common integer denominator D,
+    F(tp) = u + h(u) is, times D^M H_i for M = deg h and H_i the lcm of h_i's
+    denominators, the integer series t v_i D^(M - 1) H_i plus
+    c D^(M - |beta|) t^|beta| v^beta for each term c z^beta of H_i h_i, with
+    v^beta from `_line_powers` cut at t^cap: n univariate series and
+    no multivariate product.  sigma must not be the identity.
+    """
+    point = next(_line_points(sigma.n))
+    top = max(g_j.total_degree() for g_j in sigma.g)
+    ((series, den),) = _series_at(sigma.g, top, [point])
+    s = [[den * x] + g_j[2:] for x, g_j in zip(point, series)]
+    l_rows, l_den = _integral([x for row in linear.rows for x in row])
+    v = [[sum(map(operator.mul, l_rows[i : i + sigma.n], column)) for column in zip(*s)]
+         for i in range(0, len(l_rows), sigma.n)]
+    h_terms = [h_i.terms for h_i in h]
+    powers = _line_powers(v, [beta for terms in h_terms for beta in terms], cap)
+    top_h = max(h_i.total_degree() for h_i in h)
+    scales = [(den * l_den) ** k for k in range(top_h + 1)]
+    degree = 0
+    for v_i, terms in zip(v, h_terms):
+        numerators, h_den = _integral(list(terms.values()))
+        line = [0] + [c * h_den * scales[top_h - 1] for c in v_i] + [0] * (cap - len(v_i))
+        for beta, c in zip(terms, numerators):
+            size = sum(beta)
+            for k, x in enumerate(powers[beta], start=size):
+                line[k] += c * scales[top_h - size] * x
+        degree = max([degree] + [k for k, c in enumerate(line) if c])
+    return degree
 
 
 @dataclass(frozen=True)
@@ -190,6 +232,13 @@ def find_violation(
     in a deterministic seeded stream, or None after the trial budget; absence
     of a witness is not a proof that none exists.
 
+    Each trial first reads its conjugate F along one line t p
+    (`_line_degree`).  As deg_t F(tp) <= deg F <= mu^2, a line degree of
+    mu^2 proves the trial a witness of degree mu^2 with no conjugate built;
+    any other trial builds F, as a line degree above mu proves a witness but
+    not its degree.  So the witness and its degree are those of one full
+    conjugate per trial, on every input.
+
     Why the bound holds.  Call a map filtered when its component i has only
     monomials of weighted degree at most m_i.  Filtered maps are closed
     under composition: substituting terms of weighted degree at most m_j
@@ -203,6 +252,14 @@ def find_violation(
     i-resonant, of degree at most mu.  `solve_conjugacy` rejects a map that
     is not, under a block-diagonal linear part, before it builds any line.
     """
+    found = _violation(weights, linear, trials, seed, pool)
+    return None if found is None else found[0]
+
+
+def _violation(
+    weights: WeightVector, linear: LinearMap, trials: int, seed: int, pool: Sequence
+) -> Optional[Tuple[TriangularResonantMap, int]]:
+    """`find_violation`'s witness and the degree of its conjugate, or None."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _check_conjugable(weights.n, linear)
@@ -213,9 +270,22 @@ def find_violation(
     mu = resonance_order(weights)
     for trial in range(trials):
         candidate = random_sigma(weights, _subseed(seed, trial), pool)
-        if _conjugate(candidate, linear, block_diagonal=False).total_degree() > mu:
-            return candidate
+        degree = _trial_degree(candidate, linear, mu * mu)
+        if degree > mu:
+            return candidate, degree
     return None
+
+
+def _trial_degree(sigma: TriangularResonantMap, linear: LinearMap, cap: int) -> int:
+    """deg sigma^{-1} . L . sigma for a mixing L: cap if one line reaches it, else the conjugate's.
+
+    tau = sigma^{-1} is built once, for the line and the conjugate.  An
+    identity sigma takes no line: its conjugate is L.
+    """
+    h = _inverse_part(sigma)
+    if not sigma.is_identity() and _line_degree(sigma, linear, h, cap) == cap:
+        return cap
+    return _mixing(sigma, linear, h).total_degree()
 
 
 @dataclass(frozen=True)
@@ -224,7 +294,15 @@ class QuasiResonanceEstimate:
 
     observed_max is a lower bound for the true maximal degree; cap is the
     a-priori upper bound mu^2 (degree of the inverse times degree of the
-    map, both at most the resonance order).
+    map, both at most the resonance order); trials is the number asked for.
+
+    Once observed_max reaches the cap no trial can raise it, so the sampling
+    stops there, and one line t p proves it whenever a mixing conjugate's
+    degree along it is mu^2 (`_line_degree`).  Every other trial builds its
+    conjugate, so observed_max is that of one conjugate per trial.  The
+    stop skips the later trials' matrix draws: the result can differ only
+    where a skipped trial would have drawn MATRIX_DRAWS singular matrices in
+    a row and raised SingularLinearMap.
     """
 
     observed_max: int
@@ -238,18 +316,23 @@ def quasi_resonance_estimate(
     seed: int,
     pool: Sequence = DEFAULT_POOL,
 ) -> QuasiResonanceEstimate:
-    """Estimate the maximal conjugate degree by seeded random sampling."""
+    """Estimate the maximal conjugate degree by seeded random sampling, up to the cap."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    mu = resonance_order(weights)
+    cap = resonance_order(weights) ** 2
     partition = block_partition(weights)
     observed = 0
     for trial in range(trials):
         sigma = random_sigma(weights, _subseed(seed, 2 * trial), pool)
         linear = random_linear_map(weights.n, _subseed(seed, 2 * trial + 1), pool)
-        block_diagonal = is_block_diagonal(linear, partition)
-        observed = max(observed, _conjugate(sigma, linear, block_diagonal).total_degree())
-    return QuasiResonanceEstimate(observed_max=observed, cap=mu * mu, trials=trials)
+        if is_block_diagonal(linear, partition):
+            degree = _conjugate(sigma, linear, block_diagonal=True).total_degree()
+        else:
+            degree = _trial_degree(sigma, linear, cap)
+        observed = max(observed, degree)
+        if observed == cap:  # no later trial can raise it
+            break
+    return QuasiResonanceEstimate(observed_max=observed, cap=cap, trials=trials)
 
 
 #: whole-matrix draws a sampler makes before it gives up on the pool
@@ -414,7 +497,8 @@ def _line_rows(f: PolyMap, j_matrix: LinearMap, unknowns: list, top: int) -> Ite
     `_series_at` reads f's terms of degree at most top once per solve, and
     gives f(tp) as integer series over den, the lcm of f's denominators.
     Each f_j(tp) is t u_j(t), so f(tp)^alpha is t^|alpha| u^alpha /
-    den^|alpha|, with u^alpha needed only up to t^(top - |alpha|).  Row
+    den^|alpha|, with u^alpha needed only up to t^(top - |alpha|), which
+    `_line_powers` gives for every unknown from powers built once.  Row
     (i, d) here is the row above times d_i den^top, for the lcm d_i of the
     denominators in row i of J: a positive multiple, which `solve_exact`
     scales to the same primitive row.
@@ -423,14 +507,9 @@ def _line_rows(f: PolyMap, j_matrix: LinearMap, unknowns: list, top: int) -> Ite
     j_rows = [_integral(row) for row in j_matrix.rows]
     points, stream = tee(_line_points(n))
     for point, (series, den) in zip(points, _series_at(f.components, top, stream)):
-        images = []
-        for (_, alpha), size in zip(unknowns, degrees):
-            image = [1] + [0] * (top - size)
-            for j, e in enumerate(alpha):
-                for _ in range(e):  # times u_j, cut at t^(top - |alpha|)
-                    image = [sum(map(operator.mul, image[: k + 1], series[j][k + 1 : 0 : -1]))
-                             for k in range(len(image))]
-            images.append([0] * size + [den ** (top - size) * c for c in image])
+        powers = _line_powers([s[1:] for s in series], [alpha for _, alpha in unknowns], top)
+        images = [[0] * size + [den ** (top - size) * c for c in powers[alpha]]
+                  for (_, alpha), size in zip(unknowns, degrees)]
         plain = [den**top * prod(map(pow, point, alpha)) for _, alpha in unknowns]
         rows = [
             [(j_den * image[d] if comp == i else 0) - (j_row[comp - 1] * p if size == d else 0)

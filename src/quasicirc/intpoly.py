@@ -28,7 +28,10 @@ lazily, `invert_sigma`.  `evaluate` and `series` are their counterpart
 for the value at one point and along the lines through a stream of points,
 with no Fraction: `columns_of` reads the exponent columns from packed keys,
 and each column's distinct exponents, once per call, and `products` takes
-both at every point.
+both at every point.  `line_powers` composes along one line: from integer
+series v_j in t it gives each v^alpha cut at a total degree, for the
+conjugacy solver's line rows (cut at mu) and for a conjugate's degree along
+a line (cut at mu^2), one truncated product per power and variable.
 """
 
 from __future__ import annotations
@@ -210,6 +213,39 @@ def series(polys, top: int, points):
                 row[e] += value
             coefficients.append(row)
         yield coefficients, common
+
+
+def line_powers(lines, exponents, top: int) -> Dict[tuple, list]:
+    """{alpha: v^alpha up to t^(top - |alpha|)} for integer series v_j along one line.
+
+    lines[j][k] is the coefficient of t^k in v_j, and each result lists the
+    coefficients of t^0, t^1, ..., no longer than its cut or than v^alpha.
+    Each power v_j^e is built once per call, from v_j^(e - 1), and cut at
+    t^(top - e), the most any alpha with alpha_j >= e reads; then v^alpha
+    takes one truncated product per further variable it reads.
+    """
+    powers = [[[1]] for _ in lines]
+    out = {}
+    for alpha in exponents:
+        if alpha in out:
+            continue
+        cut, image = top - sum(alpha), None
+        for j, e in enumerate(alpha):
+            if not e:
+                continue
+            steps = powers[j]
+            while len(steps) <= e:
+                steps.append(_truncated(steps[-1], lines[j], top - len(steps)))
+            image = steps[e][: cut + 1] if image is None else _truncated(image, steps[e], cut)
+        out[alpha] = [1] if image is None else image
+    return out
+
+
+def _truncated(a: list, b: list, cut: int) -> list:
+    """The coefficients of t^0, ..., t^cut of the product of series a and b, no more than it has."""
+    reverse, lb = b[::-1], len(b)
+    return [sum(map(mul, a[max(0, k + 1 - lb):], reverse[max(0, lb - 1 - k):]))
+            for k in range(min(len(a) + lb - 1, cut + 1))]
 
 
 def columns_of(keys, n: int, w: int) -> list:

@@ -29,7 +29,7 @@ Fraction view built on it.  The value at a point (`evaluate`, on
 keys instead.  Every public result still gives Fractions.  Only this module
 and `intpoly` know the storage: the package's other modules go through
 `exponents()`, `terms`, `evaluate` and `_series_at`, which is
-`intpoly.series` re-exported.
+`intpoly.series` re-exported, as `_line_powers` is `intpoly.line_powers`.
 
 The module also owns the textual syntax shared with the CLI: terms like
 `3/2 z1^2 z3 - z2 + 1`, with exact rational literals `p/q`.  The syntax is
@@ -47,7 +47,7 @@ from typing import Dict, KeysView, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, DoesNotFixOrigin
 from .errors import IndexOutOfRange, ParseError
-from .intpoly import degree, evaluate, reduced, repack
+from .intpoly import degree, evaluate, line_powers as _line_powers, reduced, repack
 from .intpoly import series as _series_at, shift, sum_of_products, unpack, width
 from .linalg import LinearMap, _integral, as_fraction, exact_text
 from .weights import MultiIndex, WeightVector, weighted_degree

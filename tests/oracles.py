@@ -25,9 +25,11 @@ from quasicirc import (
     conjugate,
     make_sigma,
     nonlinear_resonant_monomials,
+    random_linear_map,
+    random_sigma,
     solve_exact,
 )
-from quasicirc.conjugation import _line_points
+from quasicirc.conjugation import _line_points, _subseed
 from quasicirc.weights import MultiIndex
 
 # the fixed weight-vector set used by map-level property and acceptance tests
@@ -253,6 +255,44 @@ def reference_line_rows(f: PolyMap, j_matrix, unknowns: list, top: int) -> Itera
                 ])
                 rhs.append(-series[i - 1][d])
         yield rows, rhs
+
+
+def box_resonance_order(weights) -> int:
+    """mu, the largest |alpha| over the box-scanned resonance sets of every component."""
+    return max(sum(alpha) for i in range(1, len(weights) + 1) for alpha in box_resonance_set(weights, i))
+
+
+def reference_violation(weights: WeightVector, linear, trials: int, seed: int):
+    """(witness, degree) as `find_violation` draws them, one full conjugate per trial.
+
+    Trial k draws sigma from `_subseed(seed, k)`, the one home of the trial
+    seeds, and the first sigma whose conjugate has degree above the
+    box-scanned mu is returned with that degree; None if no trial has one.
+    """
+    mu = box_resonance_order(weights.m)
+    for trial in range(trials):
+        sigma = random_sigma(weights, _subseed(seed, trial))
+        degree = conjugate(sigma, linear).total_degree()
+        if degree > mu:
+            return sigma, degree
+    return None
+
+
+def reference_quasi_order(weights: WeightVector, trials: int, seed: int) -> tuple:
+    """(observed_max, cap) by one full conjugate per trial, every trial run.
+
+    Trial k draws sigma from `_subseed(seed, 2 k)` and L from
+    `_subseed(seed, 2 k + 1)` as `quasi_resonance_estimate` does; no trial is
+    skipped once the cap mu^2 is reached.
+    """
+    degrees = [
+        conjugate(
+            random_sigma(weights, _subseed(seed, 2 * trial)),
+            random_linear_map(weights.n, _subseed(seed, 2 * trial + 1)),
+        ).total_degree()
+        for trial in range(trials)
+    ]
+    return max(degrees), box_resonance_order(weights.m) ** 2
 
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int = 3, max_terms: int = 5) -> Polynomial:

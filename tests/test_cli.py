@@ -346,6 +346,15 @@ def test_custom_pool_flag(capsys):
     assert json.loads(out)["g"] == {"2": {"2,0": "1"}}
 
 
+@pytest.mark.parametrize("weights, trials, cap", [("1,2", "100000000", 4), ("1,2,3,5,8,13", "2", 169)])
+def test_quasi_order_stops_once_one_line_reaches_the_cap(capsys, weights, trials, cap):
+    # trial 0 reaches the cap along one line and ends the estimate; at one
+    # whole conjugate per trial, each of these takes longer than 15 s
+    code, out, _ = run_cli(capsys, "quasi-order", "--weights", weights, "--trials", trials, "--seed", "1")
+    assert code == 0
+    assert out == json.dumps({"observed_max": cap, "cap": cap}, indent=2) + "\n"
+
+
 def test_module_entry_point_matches_in_process():
     result = subprocess.run(
         [sys.executable, "-m", "quasicirc", "partition", "--weights", "1,2,2,3"],

@@ -44,14 +44,18 @@ from quasicirc import (
     solve_conjugacy,
     solve_exact,
 )
-from quasicirc.conjugation import _coefficient_system, _conjugate, _line_count, _line_rows
+from quasicirc.conjugation import _coefficient_system, _conjugate, _line_count, _line_degree
+from quasicirc.conjugation import _line_rows, _violation
 from quasicirc.linalg import _integral, _primitive
-from quasicirc.resonant import pool_choices
+from quasicirc.resonant import _inverse_part, pool_choices
 from oracles import (
     WEIGHT_SET,
+    box_resonance_order,
     coefficient_solve,
     generic_compose_sigma,
     reference_line_rows,
+    reference_quasi_order,
+    reference_violation,
     series_inverse,
     unwind_inverse,
 )
@@ -397,6 +401,81 @@ def test_estimator_never_exceeds_cap():
         assert 1 <= estimate.observed_max <= estimate.cap
 
 
+def random_block_lower_map(weights, seed):
+    """An invertible L with L_ij = 0 whenever m_i < m_j: diagonal blocks plus seeded entries below."""
+    rng = random.Random(seed)
+    rows = [list(row) for row in random_block_diagonal_map(weights, seed).rows]
+    for i, j in ((i, j) for i in range(weights.n) for j in range(weights.n)):
+        if weights.m[i] > weights.m[j]:
+            rows[i][j] = Fraction(rng.choice(DEFAULT_POOL))
+    return LinearMap(rows)
+
+
+@pytest.mark.parametrize("m", WEIGHT_SET)
+def test_line_degree_never_exceeds_the_degree(m):
+    # deg_t F(tp) <= deg F <= mu^2 for mixing and block-lower L alike; the
+    # line is never taken for an identity sigma, forced at (1, 1) and (2, 3)
+    w = WeightVector(m)
+    cap = box_resonance_order(m) ** 2
+    checked = 0
+    for seed in range(6):
+        sigma = random_sigma(w, seed)
+        if sigma.is_identity():
+            continue
+        h = _inverse_part(sigma)
+        for linear in (random_linear_map(w.n, seed + 10), random_block_lower_map(w, seed + 20)):
+            assert 1 <= _line_degree(sigma, linear, h, cap) <= conjugate(sigma, linear).total_degree() <= cap
+            checked += 1
+    assert checked or not any(nonlinear_resonant_monomials(w, i) for i in range(1, w.n + 1))
+
+
+@pytest.mark.parametrize("m", WEIGHT_SET)
+def test_trials_agree_with_a_full_conjugate_per_trial(m):
+    w = WeightVector(m)
+    for seed in range(10):
+        estimate = quasi_resonance_estimate(w, 4, seed)
+        assert (estimate.observed_max, estimate.cap) == reference_quasi_order(w, 4, seed)
+        linear = random_linear_map(w.n, seed + 100)
+        if is_block_diagonal(linear, block_partition(w)):
+            with pytest.raises(BlockDiagonalInput):
+                find_violation(w, linear, 4, seed)
+            continue
+        expected = reference_violation(w, linear, 4, seed)
+        assert _violation(w, linear, 4, seed, DEFAULT_POOL) == expected
+        assert find_violation(w, linear, 4, seed) == (expected and expected[0])
+
+
+def record_draws_and_conjugates(monkeypatch):
+    """Lists that fill with the trials' sigma draws and mixing conjugates."""
+    draws, conjugates = [], []
+    draw, mixing = quasicirc.conjugation.random_sigma, quasicirc.conjugation._mixing
+    monkeypatch.setattr(quasicirc.conjugation, "random_sigma",
+                        lambda *args: draws.append(args) or draw(*args))
+    monkeypatch.setattr(quasicirc.conjugation, "_mixing",
+                        lambda *args: conjugates.append(args) or mixing(*args))
+    return draws, conjugates
+
+
+def test_one_line_at_the_cap_ends_the_estimate(monkeypatch):
+    draws, conjugates = record_draws_and_conjugates(monkeypatch)
+    estimate = quasi_resonance_estimate(W12, 100_000_000, seed=1)
+    assert (estimate.observed_max, estimate.cap, estimate.trials) == (4, 4, 100_000_000)
+    assert len(draws) == 1 and conjugates == []
+
+
+def test_violate_builds_no_second_conjugate(monkeypatch, capsys):
+    # each trial builds at most one conjugate, and the witness's degree is
+    # read from its trial, not from a conjugate built after the search
+    draws, conjugates = record_draws_and_conjugates(monkeypatch)
+    monkeypatch.setattr(quasicirc.conjugation, "_conjugate", None)
+    data = Path(__file__).parent / "data"
+    golden = Path(__file__).parent / "golden" / "violate_found.json"
+    assert cli.run(["violate", "--weights", "1,2", "--linear", str(data / "linear_offblock.json"),
+                    "--trials", "8", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert draws and len(conjugates) <= len(draws)
+
+
 # samplers
 
 
@@ -571,8 +650,8 @@ def test_solve_rejects_a_map_above_the_degree_bound(monkeypatch):
 
 
 def test_a_solve_reads_each_resonance_set_once(monkeypatch):
-    # mu is the largest degree of an unknown, so no resonance profile lists
-    # the sets a second time
+    # mu comes from `weights.resonance_order`, which reads the sets the
+    # unknowns already listed, so no resonance profile lists them a second time
     w = WeightVector((1, 2, 3, 5))
     f = conjugate(random_sigma(w, 3), random_linear_map(w.n, 4))
     calls = []

@@ -22,7 +22,7 @@ from quasicirc import (
     parse_polynomial,
 )
 import quasicirc.intpoly
-from quasicirc.intpoly import DIGIT_BITS, width
+from quasicirc.intpoly import DIGIT_BITS, line_powers, width
 from quasicirc.poly import _series_at
 from oracles import (
     random_poly_map,
@@ -789,6 +789,43 @@ def test_series_along_lines_matches_the_terms_by_degree(case, top):
     for (coefficients, d), line in zip(_series_at(polys, top, lines), lines, strict=True):
         expected = [series_by_degree(q, line, top) for q in polys]
         assert [[Fraction(c, d) for c in row] for row in coefficients] == expected
+
+
+def schoolbook_series_product(a, b):
+    """All coefficients of the product of two series, by the plain double loop."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@given(
+    st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=6), min_size=1, max_size=4),
+    st.data(),
+)
+def test_line_powers_match_schoolbook_products(lines, data):
+    exponents = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * len(lines)), max_size=6))
+    top = data.draw(st.integers(max(map(sum, exponents), default=0), 14))
+    powers = line_powers(lines, exponents, top)
+    assert set(powers) == set(exponents)
+    for alpha in exponents:
+        full = [1]
+        for line, e in zip(lines, alpha):
+            for _ in range(e):
+                full = schoolbook_series_product(full, line)
+        # every coefficient up to t^(top - |alpha|) that the product has
+        assert powers[alpha] == full[: top - sum(alpha) + 1]
+
+
+def test_line_powers_build_each_power_once(monkeypatch):
+    products = []
+    truncated = quasicirc.intpoly._truncated
+    monkeypatch.setattr(quasicirc.intpoly, "_truncated",
+                        lambda *args: products.append(args) or truncated(*args))
+    # v_1^1, v_1^2, v_1^3 and v_2^1 once each, then one product for (2, 1) and (3, 1)
+    line_powers([[1, 2, 3], [4, 5]], [(3, 0), (2, 1), (3, 1), (2, 0), (3, 1)], 8)
+    assert len(products) == 6
 
 
 def test_derivative():
